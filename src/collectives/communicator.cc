@@ -92,171 +92,183 @@ CollectiveEngine::viaNics(int src_rank, int dst_rank, int channel,
                      dst_nics.size()]};
 }
 
+/**
+ * One runRounds() invocation: a state machine that launches round i
+ * and moves on when all of its transfers land. With resilience
+ * attached, a per-round progress watchdog (the NCCL-watchdog model)
+ * additionally rescues rounds stranded on a dead route: stalled hops
+ * are cancelled byte-conservingly and relaunched with the undelivered
+ * remainder once routing has reconverged — completed rounds never
+ * re-run.
+ *
+ * Only pending transfer callbacks and pending events own the state
+ * (each holds a shared_ptr to it and nothing else), so it is freed
+ * together with the last of them.
+ */
+struct CollectiveEngine::RoundRun {
+    using Ptr = std::shared_ptr<RoundRun>;
+
+    CollectiveEngine *eng;
+    std::vector<CollectiveRound> rounds;
+    int channel;
+    bool pin;
+    double bw_factor = 1.0;
+    std::string tag;
+    Callback on_done;
+    /** Resilience coordinator at invocation time (nullptr = none). */
+    ResilienceCoordinator *rc = nullptr;
+    /** Watchdog period; 0 disables the watchdog. */
+    SimTime timeout = 0.0;
+    std::size_t next_round = 0;
+    int outstanding = 0;
+    /** Current round's hops; bytes shrink on rescue relaunch. */
+    CollectiveRound cur;
+    /** Transfer ids of the current round (0 = untracked). */
+    std::vector<std::uint64_t> xids;
+    /** Bumped per round launch: stale watchdog events bail. */
+    std::uint64_t round_gen = 0;
+    /** Watchdog rescues performed for this invocation. */
+    int resumes = 0;
+
+    /** Launch the next round, or finish. */
+    static void advance(const Ptr &st);
+    /** One hop of the current round landed. */
+    static void hopDone(const Ptr &st);
+    /** Launch hop @p i of the current round (initial launch and
+     * watchdog relaunch share it so both attempts are identical). */
+    static void startHop(const Ptr &st, std::size_t i);
+    /** Arm the watchdog for the current round. */
+    static void armWatchdog(const Ptr &st);
+    /** The watchdog body; @p gen and @p epoch pin the (round,
+     * abort-epoch) it was armed for. */
+    static void watch(const Ptr &st, std::uint64_t gen,
+                      std::uint64_t epoch);
+};
+
 void
-CollectiveEngine::runRounds(const CommGroup &group,
-                            std::vector<CollectiveRound> rounds,
-                            int channel, int channels, bool pin,
-                            double bw_factor, const std::string &tag,
-                            Callback on_done)
+CollectiveEngine::RoundRun::advance(const Ptr &st)
 {
-    // Self-destructing state machine: advance() launches round i and
-    // recurses when all of its transfers land. With resilience
-    // attached, a per-round progress watchdog (the NCCL-watchdog
-    // model) additionally rescues rounds stranded on a dead route:
-    // stalled hops are cancelled byte-conservingly and relaunched
-    // with the undelivered remainder once routing has reconverged —
-    // completed rounds never re-run.
-    struct State {
-        CollectiveEngine *eng;
-        CommGroup group;
-        std::vector<CollectiveRound> rounds;
-        int channel;
-        int channels;
-        bool pin;
-        double bw_factor = 1.0;
-        std::string tag;
-        Callback on_done;
-        std::size_t next_round = 0;
-        int outstanding = 0;
-        /** Current round's hops; bytes shrink on rescue relaunch. */
-        CollectiveRound cur;
-        /** Transfer ids of the current round (0 = untracked). */
-        std::vector<std::uint64_t> xids;
-        /** Bumped per round launch: stale watchdog events bail. */
-        std::uint64_t round_gen = 0;
-        /** Watchdog rescues performed for this invocation. */
-        int resumes = 0;
-    };
-    auto st = std::make_shared<State>();
+    if (st->next_round >= st->rounds.size()) {
+        if (st->on_done)
+            st->on_done();
+        return;
+    }
+    const CollectiveRound &round = st->rounds[st->next_round++];
+    DSTRAIN_ASSERT(!round.empty(), "empty collective round");
+    st->cur = round;
+    st->xids.assign(round.size(), 0);
+    st->outstanding = static_cast<int>(round.size());
+    ++st->round_gen;
+    for (std::size_t i = 0; i < st->cur.size(); ++i)
+        startHop(st, i);
+    if (st->rc != nullptr && st->timeout > 0.0)
+        armWatchdog(st);
+}
+
+void
+CollectiveEngine::RoundRun::hopDone(const Ptr &st)
+{
+    if (--st->outstanding == 0)
+        advance(st);
+}
+
+void
+CollectiveEngine::RoundRun::startHop(const Ptr &st, std::size_t i)
+{
+    Cluster &cl = st->eng->tm_.cluster();
+    const CollectiveHop &hop = st->cur[i];
+    TransferOptions opts;
+    opts.waypoints = st->eng->viaNics(hop.src_rank, hop.dst_rank,
+                                      st->channel, st->pin);
+    opts.rate_factor = st->bw_factor;
+    // On multipath fabrics, ECMP spreads the channels over the
+    // equal-cost trunks (deterministically).
+    opts.flow_key = static_cast<std::uint64_t>(st->channel);
+    opts.tag = st->tag;
+    st->xids[i] = st->eng->tm_.start(
+        cl.gpuByRank(hop.src_rank), cl.gpuByRank(hop.dst_rank),
+        hop.bytes, [st] { hopDone(st); }, std::move(opts));
+}
+
+void
+CollectiveEngine::RoundRun::armWatchdog(const Ptr &st)
+{
+    TransferManager &tm = st->eng->tm_;
+    const std::uint64_t gen = st->round_gen;
+    const std::uint64_t epoch = tm.abortEpoch();
+    tm.sim().events().scheduleAfter(
+        st->timeout, [st, gen, epoch] { watch(st, gen, epoch); });
+}
+
+void
+CollectiveEngine::RoundRun::watch(const Ptr &st, std::uint64_t gen,
+                                  std::uint64_t epoch)
+{
+    TransferManager &tm = st->eng->tm_;
+    ResilienceCoordinator *rc = st->rc;
+    if (epoch != tm.abortEpoch())
+        return;  // hard-fault abort killed this attempt
+    if (gen != st->round_gen || st->outstanding == 0)
+        return;  // the round completed; a new watchdog owns the next
+    bool rescued = false;
+    if (st->resumes < rc->config().max_collective_resumes) {
+        for (std::size_t i = 0; i < st->xids.size(); ++i) {
+            if (st->xids[i] == 0 || !tm.transferStalled(st->xids[i]))
+                continue;
+            // Byte-conserving round resume: the stalled hop's
+            // delivered bytes stay delivered, only the remainder
+            // relaunches — after routing has reconverged, so the
+            // fresh transfer resolves around the cut.
+            const Bytes rem = tm.cancelTransfer(st->xids[i]);
+            st->xids[i] = 0;
+            rescued = true;
+            if (rem <= 0.0) {
+                // Everything had landed; the cancelled callback never
+                // fires, so settle the hop as a completion (deferred:
+                // advancing mid-loop would launch the next round while
+                // hops are still under review).
+                tm.sim().events().scheduleAfter(0.0,
+                                                [st] { hopDone(st); });
+                continue;
+            }
+            st->cur[i].bytes = rem;
+            const std::uint64_t g = st->round_gen;
+            const std::uint64_t e = tm.abortEpoch();
+            tm.sim().events().schedule(
+                rc->reconvergedAt(), [st, i, g, e] {
+                    if (e != st->eng->tm_.abortEpoch() ||
+                        g != st->round_gen)
+                        return;
+                    startHop(st, i);
+                });
+        }
+    }
+    if (rescued) {
+        ++rc->stats().collective_timeouts;
+        ++st->resumes;
+    }
+    if (st->outstanding > 0 &&
+        st->resumes < rc->config().max_collective_resumes)
+        armWatchdog(st);
+}
+
+void
+CollectiveEngine::runRounds(std::vector<CollectiveRound> rounds,
+                            int channel, bool pin, double bw_factor,
+                            const std::string &tag, Callback on_done)
+{
+    auto st = std::make_shared<RoundRun>();
     st->eng = this;
-    st->group = group;
     st->rounds = std::move(rounds);
     st->channel = channel;
-    st->channels = channels;
     st->pin = pin;
     st->bw_factor = bw_factor;
     st->tag = tag;
     st->on_done = std::move(on_done);
-
-    ResilienceCoordinator *rc = resilience_;
-    const SimTime timeout =
-        rc != nullptr ? rc->config().collective_timeout : 0.0;
-
-    // advance is stored so the completion lambdas can call it.
-    auto advance = std::make_shared<std::function<void()>>();
-    // Launches hop i of the current round (initial launch and
-    // watchdog relaunch share it so both attempts are identical).
-    auto start_hop =
-        std::make_shared<std::function<void(std::size_t)>>();
-    // The watchdog body; parameters pin the (round, abort-epoch) it
-    // was armed for.
-    auto watch = std::make_shared<
-        std::function<void(std::uint64_t, std::uint64_t)>>();
-
-    *start_hop = [st, advance](std::size_t i) {
-        Cluster &cl = st->eng->tm_.cluster();
-        const CollectiveHop &hop = st->cur[i];
-        TransferOptions opts;
-        opts.waypoints = st->eng->viaNics(
-            hop.src_rank, hop.dst_rank, st->channel, st->pin);
-        opts.rate_factor = st->bw_factor;
-        // On multipath fabrics, ECMP spreads the channels over
-        // the equal-cost trunks (deterministically).
-        opts.flow_key = static_cast<std::uint64_t>(st->channel);
-        opts.tag = st->tag;
-        st->xids[i] = st->eng->tm_.start(
-            cl.gpuByRank(hop.src_rank), cl.gpuByRank(hop.dst_rank),
-            hop.bytes,
-            [st, advance] {
-                if (--st->outstanding == 0)
-                    (*advance)();
-            },
-            std::move(opts));
-    };
-
-    *advance = [st, advance, start_hop, watch, rc, timeout]() {
-        if (st->next_round >= st->rounds.size()) {
-            if (st->on_done)
-                st->on_done();
-            return;
-        }
-        const CollectiveRound &round = st->rounds[st->next_round++];
-        DSTRAIN_ASSERT(!round.empty(), "empty collective round");
-        st->cur = round;
-        st->xids.assign(round.size(), 0);
-        st->outstanding = static_cast<int>(round.size());
-        ++st->round_gen;
-        for (std::size_t i = 0; i < st->cur.size(); ++i)
-            (*start_hop)(i);
-        if (rc != nullptr && timeout > 0.0) {
-            TransferManager &tm = st->eng->tm_;
-            const std::uint64_t gen = st->round_gen;
-            const std::uint64_t epoch = tm.abortEpoch();
-            tm.sim().events().scheduleAfter(
-                timeout, [watch, gen, epoch] { (*watch)(gen, epoch); });
-        }
-    };
-
-    *watch = [st, watch, start_hop, advance, rc,
-              timeout](std::uint64_t gen, std::uint64_t epoch) {
-        TransferManager &tm = st->eng->tm_;
-        if (epoch != tm.abortEpoch())
-            return;  // hard-fault abort killed this attempt
-        if (gen != st->round_gen || st->outstanding == 0)
-            return;  // the round completed; a new watchdog owns the next
-        bool rescued = false;
-        if (st->resumes < rc->config().max_collective_resumes) {
-            for (std::size_t i = 0; i < st->xids.size(); ++i) {
-                if (st->xids[i] == 0 ||
-                    !tm.transferStalled(st->xids[i]))
-                    continue;
-                // Byte-conserving round resume: the stalled hop's
-                // delivered bytes stay delivered, only the remainder
-                // relaunches — after routing has reconverged, so the
-                // fresh transfer resolves around the cut.
-                const Bytes rem = tm.cancelTransfer(st->xids[i]);
-                st->xids[i] = 0;
-                rescued = true;
-                if (rem <= 0.0) {
-                    // Everything had landed; the cancelled callback
-                    // never fires, so settle the hop as a completion
-                    // (deferred: advancing mid-loop would launch the
-                    // next round while hops are still under review).
-                    tm.sim().events().scheduleAfter(
-                        0.0, [st, advance] {
-                            if (--st->outstanding == 0)
-                                (*advance)();
-                        });
-                    continue;
-                }
-                st->cur[i].bytes = rem;
-                const std::uint64_t g = st->round_gen;
-                const std::uint64_t e = tm.abortEpoch();
-                const SimTime at = rc->reconvergedAt();
-                tm.sim().events().schedule(
-                    at, [st, start_hop, i, g, e] {
-                        TransferManager &tm2 = st->eng->tm_;
-                        if (e != tm2.abortEpoch() ||
-                            g != st->round_gen)
-                            return;
-                        (*start_hop)(i);
-                    });
-            }
-        }
-        if (rescued) {
-            ++rc->stats().collective_timeouts;
-            ++st->resumes;
-        }
-        if (st->outstanding > 0 &&
-            st->resumes < rc->config().max_collective_resumes) {
-            const std::uint64_t g = st->round_gen;
-            const std::uint64_t e = tm.abortEpoch();
-            tm.sim().events().scheduleAfter(
-                timeout, [watch, g, e] { (*watch)(g, e); });
-        }
-    };
-
-    (*advance)();
+    st->rc = resilience_;
+    if (st->rc != nullptr)
+        st->timeout = st->rc->config().collective_timeout;
+    RoundRun::advance(st);
 }
 
 void
@@ -403,8 +415,8 @@ CollectiveEngine::runOp(CollectiveOp op, const CommGroup &group,
         const Bytes share = bytes / channels;
         std::vector<CollectiveRound> rounds =
             impl.rounds(op, live, share, root, view);
-        runRounds(live, std::move(rounds), c, channels,
-                  opts.pin_channels_to_nics, opts.bandwidth_factor, tag,
+        runRounds(std::move(rounds), c, opts.pin_channels_to_nics,
+                  opts.bandwidth_factor, tag,
                   [this, remaining, done] {
                       if (--*remaining == 0) {
                           ++completed_;

@@ -250,14 +250,15 @@ class CollectiveEngine
     const std::vector<CollectiveUsage> &usage() const { return usage_; }
 
   private:
+    /** The state machine of one runRounds() invocation. */
+    struct RoundRun;
+
     /**
      * Execute @p rounds sequentially (round barrier) on channel
-     * @p channel of @p channels, then invoke @p on_done.
+     * @p channel, then invoke @p on_done.
      */
-    void runRounds(const CommGroup &group,
-                   std::vector<CollectiveRound> rounds,
-                   int channel, int channels, bool pin,
-                   double bw_factor, const std::string &tag,
+    void runRounds(std::vector<CollectiveRound> rounds, int channel,
+                   bool pin, double bw_factor, const std::string &tag,
                    Callback on_done);
 
     /**

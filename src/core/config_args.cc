@@ -92,16 +92,10 @@ addExperimentOptions(ArgParser &args)
     args.addOption("collective-timeout", "0.025",
                    "collective per-round progress timeout in seconds; "
                    "0 disables the watchdog (with --resilience)");
-    args.addOption("flow-solver", "region",
-                   "fair-share solver: region (scoped incremental) | "
-                   "global (full-pass oracle)");
     args.addFlag("verify-fair-share",
-                 "run the global oracle after every scheduler event "
-                 "and abort on any bitwise rate divergence (slow)");
-    args.addFlag("no-completion-index",
-                 "schedule completions with the legacy full scan over "
-                 "active flows instead of the incremental index "
-                 "(bit-identical; A/B perf comparison)");
+                 "run the from-scratch fair-share oracle after every "
+                 "scheduler event and abort on any bitwise rate "
+                 "divergence (slow)");
     args.addOption("solver-threads", "1",
                    "threads for parallel fair-share component fills "
                    "(1 = serial, 0 = hardware threads; any value is "
@@ -178,20 +172,7 @@ experimentFromArgs(const ArgParser &args)
     out.config.telemetry.retain_segments =
         args.getFlag("retain-segments");
 
-    const std::string solver = args.get("flow-solver");
-    if (solver == "region") {
-        out.config.flow_solver = FlowSolverMode::Region;
-    } else if (solver == "global") {
-        out.config.flow_solver = FlowSolverMode::Global;
-    } else {
-        out.errors.push_back(
-            {"flow-solver",
-             csprintf("unknown solver '%s' (expected region | global)",
-                      solver.c_str())});
-    }
     out.config.verify_fair_share = args.getFlag("verify-fair-share");
-    out.config.use_completion_index =
-        !args.getFlag("no-completion-index");
     out.config.solver_threads = args.getInt("solver-threads");
 
     if (!args.get("faults").empty())

@@ -5,6 +5,9 @@
 
 #include "core/experiment.hh"
 
+#include <algorithm>
+#include <thread>
+
 #include "model/flops.hh"
 #include "util/logging.hh"
 #include "util/task_pool.hh"
@@ -164,16 +167,17 @@ Experiment::Experiment(ExperimentConfig cfg)
     sim_ = std::make_unique<Simulation>(cfg_.seed);
     cluster_ = std::make_unique<Cluster>(cfg_.cluster);
     if (cfg_.solver_threads != 1) {
-        // The experiment thread participates as a pool worker, so
-        // N explicit threads means N - 1 spawned ones (0 = one per
-        // hardware thread, TaskPool's own default).
-        pool_ = std::make_unique<TaskPool>(
-            cfg_.solver_threads > 1 ? cfg_.solver_threads - 1 : 0);
+        // 0 = one thread per hardware thread. The experiment thread
+        // participates as a pool worker, so N threads means N - 1
+        // spawned ones.
+        int threads = cfg_.solver_threads;
+        if (threads == 0)
+            threads = std::max(
+                1, static_cast<int>(std::thread::hardware_concurrency()));
+        pool_ = std::make_unique<TaskPool>(threads - 1);
     }
     FlowSchedulerOptions fopts;
-    fopts.mode = cfg_.flow_solver;
     fopts.verify_fair_share = cfg_.verify_fair_share;
-    fopts.completion_index = cfg_.use_completion_index;
     fopts.fill_pool = pool_.get();
     flows_ = std::make_unique<FlowScheduler>(*sim_, cluster_->topology(),
                                              fopts);

@@ -109,28 +109,12 @@ struct ExperimentConfig {
     std::uint64_t seed = 1;
 
     /**
-     * Fair-share solver mode. Region (the default) re-solves only the
-     * contention region an event touches; Global runs the full
-     * water-filling oracle on every event. Both are bit-identical;
-     * Global exists as the reference and for perf comparison.
-     */
-    FlowSolverMode flow_solver = FlowSolverMode::Region;
-
-    /**
-     * Debug cross-check: run the global oracle after every scheduler
-     * event and fatal() if any flow's rate differs bitwise from the
-     * region solver's. Slow; use for fuzzing and CI smoke, not runs.
+     * Debug cross-check: run the from-scratch fair-share oracle after
+     * every scheduler event and fatal() if any flow's rate differs
+     * bitwise from the region solver's. Slow; use for fuzzing and CI
+     * smoke, not runs.
      */
     bool verify_fair_share = false;
-
-    /**
-     * Keep the scheduler's incremental completion-time index (the
-     * default). False restores the legacy full scan over active flows
-     * when scheduling the next completion — bit-identical results,
-     * O(active) per event; exists for A/B perf comparison and as the
-     * fallback escape hatch.
-     */
-    bool use_completion_index = true;
 
     /**
      * Worker threads for filling independent fair-share components of

@@ -40,8 +40,8 @@
  *    at those same points, which is what lets the completion index
  *    be maintained incrementally.
  *
- * Everything else falls back to a water-filling pass (global or
- * region-scoped by mode) over flat, reusable per-resource arrays.
+ * Everything else falls back to a region-scoped water-filling pass
+ * over flat, reusable per-resource arrays.
  */
 
 #include "net/flow_scheduler.hh"
@@ -66,20 +66,11 @@ constexpr double kSaturationFraction = 1e-9;
 
 FlowScheduler::FlowScheduler(Simulation &sim, Topology &topo,
                              FlowSchedulerOptions opts)
-    : sim_(sim), topo_(topo), mode_(opts.mode),
-      verify_(opts.verify_fair_share),
-      use_index_(opts.completion_index), pool_(opts.fill_pool),
+    : sim_(sim), topo_(topo), verify_(opts.verify_fair_share),
+      pool_(opts.fill_pool),
       parallel_threshold_(opts.parallel_fill_threshold)
 {
     ensureResourceArrays();
-}
-
-FlowScheduler::FlowScheduler(Simulation &sim, Topology &topo,
-                             FlowSolverMode mode, bool verify_fair_share)
-    : FlowScheduler(sim, topo,
-                    FlowSchedulerOptions{mode, verify_fair_share, true,
-                                         nullptr, 16})
-{
 }
 
 FlowScheduler::~FlowScheduler()
@@ -103,7 +94,6 @@ FlowScheduler::ensureResourceArrays()
     nflows_.resize(n, 0);
     residual_.resize(n, 0.0);
     crossing_.resize(n, 0);
-    in_active_.resize(n, 0);
     res_flows_.resize(n);
     res_mark_.resize(n, 0);
     res_comp_mark_.resize(n, 0);
@@ -246,8 +236,6 @@ FlowScheduler::compactRouteArena()
 void
 FlowScheduler::indexUpdate(std::uint32_t slot, SimTime key)
 {
-    if (!use_index_)
-        return;
     index_seq_[slot] = next_index_seq_++;
     index_.push(IndexEntry{key, index_seq_[slot], slot});
     ++stats_.completion_index_updates;
@@ -451,9 +439,8 @@ FlowScheduler::fillComponent(std::size_t c, FillScratch &ws,
     // global fill interleaves increment rounds across unrelated
     // components, so its floating-point sums can differ from a local
     // fill in the last bit, which would make incremental region
-    // solves irreproducible. Every path (region solve, Global-mode
-    // recompute, the verify oracle, a pool worker) fills per
-    // component.
+    // solves irreproducible. Every path (region solve, the verify
+    // oracle, a pool worker) fills per component.
     //
     // The rounds run on dense component-local arrays (see
     // FillScratch) seeded from the partition CSR, so the round scans
@@ -672,22 +659,22 @@ void
 FlowScheduler::solveRegion()
 {
     partitionComponents();
-    if (components_.empty())
-        return;
+    if (!components_.empty()) {
+        ++stats_.recomputes;
+        ++stats_.region_solves;
+        stats_.region_flows += components_.size();
+        stats_.region_peak = std::max<std::uint64_t>(stats_.region_peak,
+                                                     components_.size());
+        std::size_t bucket = 0;
+        for (std::size_t n = components_.size(); n > 1; n >>= 1)
+            ++bucket;
+        stats_.region_hist[std::min(bucket, kRegionHistBuckets - 1)] += 1;
 
-    ++stats_.recomputes;
-    ++stats_.region_solves;
-    stats_.region_flows += components_.size();
-    stats_.region_peak =
-        std::max<std::uint64_t>(stats_.region_peak, components_.size());
-    std::size_t bucket = 0;
-    for (std::size_t n = components_.size(); n > 1; n >>= 1)
-        ++bucket;
-    stats_.region_hist[std::min(bucket, kRegionHistBuckets - 1)] += 1;
-
-    active_resources_.clear();
-    solveComponents();
-    writeRegionTotals();
+        active_resources_.clear();
+        solveComponents();
+        writeRegionTotals();
+    }
+    scheduleNextCompletion();
 }
 
 void
@@ -774,14 +761,9 @@ FlowScheduler::start(FlowSpec spec)
         maybeVerify();
         return id;
     }
-    if (mode_ == FlowSolverMode::Global) {
-        recompute();
-    } else {
-        beginRegion();
-        seedRegionFlow(slot);
-        solveRegion();
-        scheduleNextCompletion();
-    }
+    beginRegion();
+    seedRegionFlow(slot);
+    solveRegion();
     maybeVerify();
     return id;
 }
@@ -817,15 +799,6 @@ FlowScheduler::tryFastStart(Flow &f)
         total_rate_[rid] += rate;
         topo_.resource(rid).log.setRate(now, total_rate_[rid]);
         ++stats_.rate_updates;
-        if (mode_ == FlowSolverMode::Global) {
-            // The global pass zeroes stale logs via the sorted
-            // touched_ set; the region solver zeroes at removal time
-            // instead and never reads it.
-            auto it =
-                std::lower_bound(touched_.begin(), touched_.end(), rid);
-            if (it == touched_.end() || *it != rid)
-                touched_.insert(it, rid);
-        }
     }
 
     const SimTime done_at = now + f.remaining / f.rate;
@@ -904,14 +877,9 @@ FlowScheduler::setCapacity(ResourceId rid, Bps capacity)
         return;
     }
 
-    if (mode_ == FlowSolverMode::Global) {
-        recompute();
-    } else {
-        beginRegion();
-        seedRegionResource(rid);
-        solveRegion();
-        scheduleNextCompletion();
-    }
+    beginRegion();
+    seedRegionResource(rid);
+    solveRegion();
     maybeVerify();
 }
 
@@ -971,15 +939,10 @@ FlowScheduler::setCapacities(
         return;
     }
 
-    if (mode_ == FlowSolverMode::Global) {
-        recompute();
-    } else {
-        beginRegion();
-        for (ResourceId rid : cap_dirty_)
-            seedRegionResource(rid);
-        solveRegion();
-        scheduleNextCompletion();
-    }
+    beginRegion();
+    for (ResourceId rid : cap_dirty_)
+        seedRegionResource(rid);
+    solveRegion();
     maybeVerify();
 }
 
@@ -1022,23 +985,15 @@ FlowScheduler::flushBatch()
         std::unique(batch_dirty_.begin(), batch_dirty_.end()),
         batch_dirty_.end());
 
-    if (mode_ == FlowSolverMode::Global) {
-        batch_start_slots_.clear();
-        batch_dirty_.clear();
-        batch_need_solve_ = false;
-        recompute();
-    } else {
-        beginRegion();
-        for (std::uint32_t slot : batch_start_slots_)
-            seedRegionFlow(slot);
-        for (ResourceId rid : batch_dirty_)
-            seedRegionResource(rid);
-        batch_start_slots_.clear();
-        batch_dirty_.clear();
-        batch_need_solve_ = false;
-        solveRegion();
-        scheduleNextCompletion();
-    }
+    beginRegion();
+    for (std::uint32_t slot : batch_start_slots_)
+        seedRegionFlow(slot);
+    for (ResourceId rid : batch_dirty_)
+        seedRegionResource(rid);
+    batch_start_slots_.clear();
+    batch_dirty_.clear();
+    batch_need_solve_ = false;
+    solveRegion();
     maybeVerify();
 }
 
@@ -1080,19 +1035,14 @@ FlowScheduler::cancel(FlowId id, Bytes *remaining)
         return true;
     }
 
-    if (mode_ == FlowSolverMode::Global) {
-        recompute();
-    } else {
-        beginRegion();
-        for (ResourceId rid : removed.resources)
-            zeroIfIdle(rid);
-        // zeroIfIdle shares the mark epoch; a resource marked idle
-        // has no flows, so it can never be (re)seeded anyway.
-        for (ResourceId rid : removed.resources)
-            seedRegionResource(rid);
-        solveRegion();
-        scheduleNextCompletion();
-    }
+    beginRegion();
+    for (ResourceId rid : removed.resources)
+        zeroIfIdle(rid);
+    // zeroIfIdle shares the mark epoch; a resource marked idle has no
+    // flows, so it can never be (re)seeded anyway.
+    for (ResourceId rid : removed.resources)
+        seedRegionResource(rid);
+    solveRegion();
     maybeVerify();
     return true;
 }
@@ -1108,40 +1058,22 @@ FlowScheduler::cancelAll()
     // Terminal observation point: make every flow's remaining exact.
     for (std::int32_t s = head_slot_; s >= 0; s = next_slot_[s])
         settleFlow(slots_[static_cast<std::size_t>(s)], now);
-    if (mode_ == FlowSolverMode::Global) {
-        for (std::int32_t s = head_slot_; s >= 0;) {
-            const std::uint32_t slot = static_cast<std::uint32_t>(s);
-            s = next_slot_[slot];
-            for (ResourceId rid : slots_[slot].resources)
-                nflows_[rid] -= 1;
-            indexRemove(slot);
-            detachFlow(slot);
-            releaseSlot(slot);
-        }
-        stats_.cancels += n;
-        stalled_.clear();
-        // One recompute over the (now empty) flow set: every
-        // previously touched resource logs a rate of exactly zero, so
-        // the abort instant is bit-reproducible.
-        recompute();
-    } else {
-        beginRegion();  // epoch for zeroIfIdle deduplication
-        for (std::int32_t s = head_slot_; s >= 0;) {
-            const std::uint32_t slot = static_cast<std::uint32_t>(s);
-            s = next_slot_[slot];
-            for (ResourceId rid : slots_[slot].resources)
-                nflows_[rid] -= 1;
-            indexRemove(slot);
-            detachFlow(slot);
-            Flow removed = std::move(slots_[slot]);
-            releaseSlot(slot);
-            for (ResourceId rid : removed.resources)
-                zeroIfIdle(rid);
-        }
-        stats_.cancels += n;
-        stalled_.clear();
-        scheduleNextCompletion();  // cancels the pending event
+    beginRegion();  // epoch for zeroIfIdle deduplication
+    for (std::int32_t s = head_slot_; s >= 0;) {
+        const std::uint32_t slot = static_cast<std::uint32_t>(s);
+        s = next_slot_[slot];
+        for (ResourceId rid : slots_[slot].resources)
+            nflows_[rid] -= 1;
+        indexRemove(slot);
+        detachFlow(slot);
+        Flow removed = std::move(slots_[slot]);
+        releaseSlot(slot);
+        for (ResourceId rid : removed.resources)
+            zeroIfIdle(rid);
     }
+    stats_.cancels += n;
+    stalled_.clear();
+    scheduleNextCompletion();  // cancels the pending event
     maybeVerify();
     return n;
 }
@@ -1156,81 +1088,17 @@ FlowScheduler::stalledByFault(const Flow &f) const
 }
 
 void
-FlowScheduler::recompute()
-{
-    const SimTime now = sim_.now();
-    ensureResourceArrays();
-    ++stats_.recomputes;
-
-    // --- water-filling ---------------------------------------------------
-    // Seed every active non-stalled flow, split into connected
-    // components, and fill each component independently. Filling per
-    // component is the bit-exact definition of fair share (see
-    // fillComponent()): it makes Global mode, the incremental region
-    // solver, and the verify oracle produce identical rates down to
-    // the last bit.
-    region_flows_.clear();
-    for (std::int32_t s = head_slot_; s >= 0; s = next_slot_[s]) {
-        if (!slots_[static_cast<std::size_t>(s)].stalled)
-            region_flows_.push_back(static_cast<std::uint32_t>(s));
-    }
-    partitionComponents();
-
-    active_resources_.clear();
-    solveComponents();
-
-    // --- update telemetry logs -------------------------------------------
-    for (ResourceId rid : active_resources_) {
-        double total = 0.0;
-        for (const ResFlow &rf : res_flows_[rid])
-            total += rate_slot_[rf.slot];
-        total_rate_[rid] = total;
-    }
-
-    std::sort(active_resources_.begin(), active_resources_.end());
-    for (ResourceId rid : active_resources_)
-        in_active_[rid] = 1;
-    // Zero out resources that had traffic before but no longer do.
-    for (ResourceId rid : touched_) {
-        if (!in_active_[rid]) {
-            topo_.resource(rid).log.setRate(now, 0.0);
-            ++stats_.rate_updates;
-            total_rate_[rid] = 0.0;
-        }
-    }
-    touched_.assign(active_resources_.begin(), active_resources_.end());
-    for (ResourceId rid : touched_) {
-        topo_.resource(rid).log.setRate(now, total_rate_[rid]);
-        ++stats_.rate_updates;
-        in_active_[rid] = 0;
-    }
-
-    scheduleNextCompletion();
-}
-
-void
 FlowScheduler::scheduleNextCompletion()
 {
     SimTime best = kFlowNeverFinishes;
     if (active_count_ > 0) {
-        if (use_index_) {
-            // The index serves the minimum directly; no walk over the
-            // active list. Stored finish times and index keys are the
-            // same doubles, so the scheduled time is bit-identical to
-            // the legacy scan's.
-            ++stats_.completion_scans_avoided;
-            compactIndexIfBloated();
-            skimIndex();
-            if (!index_.empty())
-                best = index_.top().key;
-        } else {
-            for (std::int32_t s = head_slot_; s >= 0;
-                 s = next_slot_[s]) {
-                const Flow &f = slots_[static_cast<std::size_t>(s)];
-                if (!f.stalled && f.finish_at < best)
-                    best = f.finish_at;
-            }
-        }
+        // The index serves the minimum directly; no walk over the
+        // active list. Index keys are the stored finish times, which
+        // maybeVerify() checks against a scan over the active list.
+        compactIndexIfBloated();
+        skimIndex();
+        if (!index_.empty())
+            best = index_.top().key;
     }
     if (best == kFlowNeverFinishes) {
         // Nothing running (everything finished or stalled).
@@ -1260,31 +1128,21 @@ FlowScheduler::onCompletionEvent()
     const SimTime now = sim_.now();
 
     // Collect finishers: flows whose predicted finish time has
-    // arrived. Both paths produce the same set in ascending-id order
-    // (the heap pops are sorted; the scan walks the ascending active
-    // list) — the canonical completion-callback order.
+    // arrived, popped from the index and sorted into ascending-id
+    // order — the canonical completion-callback order.
     finisher_slots_.clear();
-    if (use_index_) {
-        while (!index_.empty() && index_.top().key <= now) {
-            const IndexEntry e = index_.top();
-            index_.pop();
-            if (index_seq_[e.slot] == e.seq) {
-                index_seq_[e.slot] = 0;
-                finisher_slots_.push_back(e.slot);
-            }
-        }
-        std::sort(finisher_slots_.begin(), finisher_slots_.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      return slots_[a].id < slots_[b].id;
-                  });
-    } else {
-        for (std::int32_t s = head_slot_; s >= 0; s = next_slot_[s]) {
-            const std::uint32_t slot = static_cast<std::uint32_t>(s);
-            const Flow &f = slots_[slot];
-            if (!f.stalled && f.finish_at <= now)
-                finisher_slots_.push_back(slot);
+    while (!index_.empty() && index_.top().key <= now) {
+        const IndexEntry e = index_.top();
+        index_.pop();
+        if (index_seq_[e.slot] == e.seq) {
+            index_seq_[e.slot] = 0;
+            finisher_slots_.push_back(e.slot);
         }
     }
+    std::sort(finisher_slots_.begin(), finisher_slots_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  return slots_[a].id < slots_[b].id;
+              });
 
     // Reuse the member buffers but operate on moved-out locals so a
     // callback that re-enters the scheduler can't alias them.
@@ -1344,19 +1202,14 @@ FlowScheduler::onCompletionEvent()
         for (Flow &f : finished)
             if (f.on_complete)
                 callbacks.push_back(std::move(f.on_complete));
-        if (mode_ == FlowSolverMode::Global) {
-            recompute();
-        } else {
-            beginRegion();
-            for (const Flow &f : finished)
-                for (ResourceId rid : f.resources)
-                    zeroIfIdle(rid);
-            for (const Flow &f : finished)
-                for (ResourceId rid : f.resources)
-                    seedRegionResource(rid);
-            solveRegion();
-            scheduleNextCompletion();
-        }
+        beginRegion();
+        for (const Flow &f : finished)
+            for (ResourceId rid : f.resources)
+                zeroIfIdle(rid);
+        for (const Flow &f : finished)
+            for (ResourceId rid : f.resources)
+                seedRegionResource(rid);
+        solveRegion();
     } else {
         for (Flow &f : finished) {
             ++stats_.fast_finishes;
@@ -1466,8 +1319,8 @@ FlowScheduler::maybeVerify()
     ++stats_.verified_solves;
 
     // The oracle: a from-scratch per-component fill over every active
-    // non-stalled flow — the same definition of fair share
-    // recompute() computes — into scratch rates. crossing_/residual_
+    // non-stalled flow — the same definition of fair share the
+    // region solver computes — into scratch rates. crossing_/residual_
     // are safe to reuse: every solve leaves crossing_ at zero.
     oracle_rate_.resize(slots_.size());
     region_flows_.clear();
@@ -1514,7 +1367,7 @@ FlowScheduler::maybeVerify()
                   static_cast<unsigned long long>(f.id), f.finish_at,
                   expect, sim_.now());
         }
-        if (use_index_ && index_seq_[slot] == 0)
+        if (index_seq_[slot] == 0)
             fatal("verify-fair-share: flow '%s' (id %llu) missing "
                   "from the completion index at t=%g",
                   f.tag.c_str(),
@@ -1527,8 +1380,8 @@ FlowScheduler::maybeVerify()
               "%zu active flows are parked at t=%g",
               stalled_.size(), nstalled, sim_.now());
 
-    // ... and the scheduled completion event (fed by the index or the
-    // scan — same stored values) must sit at the minimum of them.
+    // ... and the scheduled completion event (fed by the index) must
+    // sit at the minimum of them.
     if (best == kFlowNeverFinishes) {
         if (completion_event_ != 0)
             fatal("verify-fair-share: completion event pending with "
@@ -1538,15 +1391,13 @@ FlowScheduler::maybeVerify()
             fatal("verify-fair-share: completion scheduled at %a, "
                   "stored finish times say %a at t=%g",
                   completion_time_, best, sim_.now());
-        if (use_index_) {
-            skimIndex();
-            if (index_.empty() || index_.top().key != best)
-                fatal("verify-fair-share: completion index min %a != "
-                      "scan min %a at t=%g",
-                      index_.empty() ? kFlowNeverFinishes
-                                     : index_.top().key,
-                      best, sim_.now());
-        }
+        skimIndex();
+        if (index_.empty() || index_.top().key != best)
+            fatal("verify-fair-share: completion index min %a != "
+                  "scan min %a at t=%g",
+                  index_.empty() ? kFlowNeverFinishes
+                                 : index_.top().key,
+                  best, sim_.now());
     }
 }
 

@@ -13,21 +13,18 @@
  * the route's SerDes degradation, so the stress tests of paper
  * Sec. III-C reproduce directly from this scheduler.
  *
- * Performance: two solver modes share the same arithmetic (see
- * DESIGN.md "Performance architecture" for the invariants):
- *
- *  - FlowSolverMode::Region (the default) re-solves, on each event,
- *    only the contention region of the affected flows — the connected
- *    component of the flow/resource sharing graph — while every flow
- *    outside it keeps its frozen rate. Because max-min rates of one
- *    component are independent of every other component, the scoped
- *    solve is exact (bit-identical to a global pass), and per-event
- *    cost scales with the region, not the cluster.
- *
- *  - FlowSolverMode::Global runs the full water-filling pass over all
- *    active flows on every event: the bit-exact oracle the region
- *    solver is verified against (`--verify-fair-share` runs both on
- *    every event and asserts identical rates).
+ * Performance: there is one solver path. On each event it re-solves
+ * only the contention region of the affected flows — the connected
+ * component of the flow/resource sharing graph — while every flow
+ * outside it keeps its frozen rate. Because max-min rates of one
+ * component are independent of every other component, the scoped
+ * solve is exact, and per-event cost scales with the region, not the
+ * cluster (see DESIGN.md "Performance architecture" for the
+ * invariants). The reference it is checked against is the
+ * from-scratch oracle behind `--verify-fair-share`
+ * (FlowSchedulerOptions::verify_fair_share): after every event it
+ * re-fills every component from scratch and asserts that the stored
+ * rates, the completion index and the stalled list match bitwise.
  *
  * Per-event cost is O(region) end-to-end, not just for the solve:
  * each flow carries an anchored (time, remaining) pair settled only
@@ -41,7 +38,7 @@
  * filled concurrently on a TaskPool with results committed in
  * canonical component order — bit-identical to the serial fill.
  *
- * Either way the water-filling works on flat, reusable per-resource
+ * The water-filling works on flat, reusable per-resource
  * scratch arrays indexed by ResourceId (no hashing, no per-recompute
  * allocation once warm); flows live in a dense slot map with an
  * intrusive active list in ascending-id order; and flow
@@ -67,27 +64,12 @@ namespace dstrain {
 
 class TaskPool;
 
-/** Which fair-share solver runs on scheduler events. */
-enum class FlowSolverMode {
-    Region,  ///< re-solve only the affected contention region (default)
-    Global,  ///< full water-filling pass every event (the oracle)
-};
-
 /** Construction options for FlowScheduler. */
 struct FlowSchedulerOptions {
-    /** Which solver handles events. */
-    FlowSolverMode mode = FlowSolverMode::Region;
-
-    /** Run the global oracle after every event and assert that the
-     * stored rates, the completion index and the stalled list all
-     * match a from-scratch solve bitwise (slow; debugging). */
+    /** Run the oracle after every event and assert that the stored
+     * rates, the completion index and the stalled list all match a
+     * from-scratch solve bitwise (slow; debugging). */
     bool verify_fair_share = false;
-
-    /** Keep the incremental completion-time index (the default).
-     * False restores the legacy full scan over the active list when
-     * scheduling the next completion — same stored finish times, so
-     * results are bit-identical either way. */
-    bool completion_index = true;
 
     /** Fill independent components of one solve concurrently on this
      * pool (nullptr = serial). Results are committed in canonical
@@ -125,7 +107,6 @@ class FlowScheduler
         std::uint64_t region_peak = 0;    ///< largest region solved (flows)
         std::uint64_t verified_solves = 0;  ///< oracle comparisons performed
         std::uint64_t completion_index_updates = 0;  ///< finish-time (re)insertions
-        std::uint64_t completion_scans_avoided = 0;  ///< reschedules served by the index
         std::uint64_t batched_events = 0;  ///< ops whose solve a batch deferred
         std::uint64_t parallel_component_solves = 0;  ///< components filled on the pool
         std::uint64_t stalled_parks = 0;  ///< flows parked on the stalled list
@@ -134,17 +115,8 @@ class FlowScheduler
         std::array<std::uint64_t, kRegionHistBuckets> region_hist{};
     };
 
-    /** Build with explicit options. */
     FlowScheduler(Simulation &sim, Topology &topo,
-                  FlowSchedulerOptions opts);
-
-    /**
-     * Legacy convenience constructor: default options with @p mode
-     * and @p verify_fair_share overridden.
-     */
-    FlowScheduler(Simulation &sim, Topology &topo,
-                  FlowSolverMode mode = FlowSolverMode::Region,
-                  bool verify_fair_share = false);
+                  FlowSchedulerOptions opts = {});
 
     FlowScheduler(const FlowScheduler &) = delete;
     FlowScheduler &operator=(const FlowScheduler &) = delete;
@@ -272,9 +244,6 @@ class FlowScheduler
     /** Work counters since construction. */
     const Stats &stats() const { return stats_; }
 
-    /** The solver mode this scheduler was built with. */
-    FlowSolverMode solverMode() const { return mode_; }
-
   private:
     /** One entry of a resource's crossing-flow list. */
     struct ResFlow {
@@ -337,9 +306,6 @@ class FlowScheduler
         }
     }
 
-    /** Global water-filling + log update + completion reschedule. */
-    void recompute();
-
     /**
      * Try to admit @p f without a full recompute: succeeds when every
      * resource it crosses retains slack for the flow's full cap, so
@@ -351,8 +317,7 @@ class FlowScheduler
     void onCompletionEvent();
 
     /** Schedule (or reschedule) the next completion event from the
-     * completion index (or the legacy scan over stored finish
-     * times when the index is disabled). */
+     * completion index. */
     void scheduleNextCompletion();
 
     /** Grow the per-resource scratch arrays to the topology's size. */
@@ -432,9 +397,10 @@ class FlowScheduler
     void seedRegionResource(ResourceId rid);
 
     /**
-     * Close the seeded region over shared resources (BFS), then run
-     * the water-filling pass over it alone and write the region's
-     * rate logs. No-op on an empty seed set.
+     * Close the seeded region over shared resources (BFS), run the
+     * water-filling pass over it alone, write the region's rate logs
+     * and reschedule the next completion. The solve is skipped on an
+     * empty seed set; the reschedule is not.
      */
     void solveRegion();
 
@@ -495,15 +461,13 @@ class FlowScheduler
     /** Flush the outermost batch: one closure, one solve. */
     void flushBatch();
 
-    /** Run the global oracle and assert bitwise-equal rates, a
+    /** Run the from-scratch oracle and assert bitwise-equal rates, a
      * consistent completion index and a sound stalled list. */
     void maybeVerify();
 
     Simulation &sim_;
     Topology &topo_;
-    const FlowSolverMode mode_;
     const bool verify_;
-    const bool use_index_;
     TaskPool *const pool_;
     const std::size_t parallel_threshold_;
     FlowId next_id_ = 1;
@@ -568,9 +532,8 @@ class FlowScheduler
     std::vector<double> eff_cap_;     ///< capacity * class efficiency
     std::vector<double> total_rate_;  ///< current aggregate rate
     std::vector<int> nflows_;         ///< active flows crossing
-    std::vector<double> residual_;    ///< water-filling scratch
-    std::vector<int> crossing_;       ///< water-filling scratch
-    std::vector<char> in_active_;     ///< membership scratch
+    std::vector<double> residual_;    ///< oracle-fill scratch
+    std::vector<int> crossing_;       ///< oracle-fill scratch
     std::vector<std::vector<ResFlow>> res_flows_;  ///< crossing flows
 
     // --- region scratch ---------------------------------------------------
@@ -607,7 +570,6 @@ class FlowScheduler
     std::vector<FillScratch> fill_scratch_;  ///< one per pool worker
     std::vector<std::vector<ResourceId>> comp_out_;  ///< per-component rids
     std::vector<ResourceId> active_resources_;  ///< crossed by any flow
-    std::vector<ResourceId> touched_;  ///< nonzero-log resources (Global)
     std::vector<ResourceId> cap_dirty_;  ///< batch-update seeds
     std::vector<std::function<void()>> callbacks_;
     std::vector<Flow> finished_;

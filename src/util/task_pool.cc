@@ -5,14 +5,14 @@
 
 #include "util/task_pool.hh"
 
+#include "util/logging.hh"
+
 namespace dstrain {
 
 TaskPool::TaskPool(int threads)
 {
-    if (threads <= 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        threads = hw > 1 ? static_cast<int>(hw) - 1 : 0;
-    }
+    DSTRAIN_ASSERT(threads >= 0, "negative TaskPool thread count %d",
+                   threads);
     threads_.reserve(static_cast<std::size_t>(threads));
     for (int t = 0; t < threads; ++t)
         threads_.emplace_back([this, t] { workerLoop(t + 1); });
@@ -31,21 +31,13 @@ TaskPool::~TaskPool()
 
 void TaskPool::drain(const Body &body, std::size_t n, int worker)
 {
-    std::size_t claimed = 0;
     for (;;) {
         const std::size_t i =
             cursor_.fetch_add(1, std::memory_order_relaxed);
         if (i >= n)
             break;
         body(i, worker);
-        ++claimed;
     }
-    if (claimed == 0)
-        return;
-    std::lock_guard<std::mutex> lock(mu_);
-    completed_ += claimed;
-    if (completed_ == n)
-        done_cv_.notify_all();
 }
 
 void TaskPool::workerLoop(int worker)
@@ -64,8 +56,12 @@ void TaskPool::workerLoop(int worker)
             seen = job_id_;
             body = job_;
             n = job_n_;
+            ++busy_;
         }
         drain(*body, n, worker);
+        std::lock_guard<std::mutex> lock(mu_);
+        if (--busy_ == 0)
+            done_cv_.notify_all();
     }
 }
 
@@ -82,14 +78,17 @@ void TaskPool::parallelFor(std::size_t n, const Body &body)
         std::lock_guard<std::mutex> lock(mu_);
         job_ = &body;
         job_n_ = n;
-        completed_ = 0;
         cursor_.store(0, std::memory_order_relaxed);
         ++job_id_;
     }
     wake_cv_.notify_all();
+    // Once the caller's drain returns every index is claimed; once no
+    // worker is inside drain() every claimed index is done. Waiting
+    // for both keeps a late worker of this job from claiming indices
+    // of the next one off the shared cursor.
     drain(body, n, 0);
     std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return completed_ == n; });
+    done_cv_.wait(lock, [&] { return busy_ == 0; });
     job_ = nullptr;
 }
 

@@ -38,9 +38,9 @@ class TaskPool
     using Body = std::function<void(std::size_t index, int worker)>;
 
     /**
-     * @param threads extra worker threads to spawn; <= 0 means one
-     * per hardware thread minus the caller. The calling thread always
-     * participates, so workers() == threads + 1.
+     * @param threads extra worker threads to spawn, exactly; 0 means
+     * the caller runs everything. Must be >= 0. The calling thread
+     * always participates, so workers() == threads + 1.
      */
     explicit TaskPool(int threads);
     ~TaskPool();
@@ -77,7 +77,7 @@ class TaskPool
     std::size_t job_n_ = 0;             // guarded by mu_
     std::uint64_t job_id_ = 0;          // guarded by mu_
     std::atomic<std::size_t> cursor_{0};
-    std::size_t completed_ = 0;         // guarded by mu_
+    int busy_ = 0;                      // workers in drain(); mu_
     bool stop_ = false;                 // guarded by mu_
 };
 

@@ -113,14 +113,20 @@ TEST(TopologyViewTest, NodeDecomposition)
 
 TEST(TopologyViewTest, DeprecatedWrappersMatchViewMethods)
 {
+    // Callers may build a throwaway view per query; it must agree
+    // with a long-lived one and with the closed-form answers.
     Cluster cluster(dualSpec());
     TopologyView view(cluster);
     CommGroup g;
     g.ranks = {6, 1, 4, 3};
-    EXPECT_EQ(orderNodeMajor(g, cluster).ranks,
+    EXPECT_EQ(TopologyView(cluster).orderNodeMajor(g).ranks,
               view.orderNodeMajor(g).ranks);
-    EXPECT_EQ(interNodeHops(g, cluster), view.interNodeHops(g));
-    EXPECT_DOUBLE_EQ(ringBottleneckBandwidth(g, cluster),
+    EXPECT_EQ(TopologyView(cluster).orderNodeMajor(g).ranks,
+              (std::vector<int>{1, 3, 6, 4}));
+    EXPECT_EQ(TopologyView(cluster).interNodeHops(g),
+              view.interNodeHops(g));
+    EXPECT_EQ(TopologyView(cluster).interNodeHops(g), 4);
+    EXPECT_DOUBLE_EQ(TopologyView(cluster).ringBottleneckBandwidth(g),
                      view.ringBottleneckBandwidth(g));
 }
 

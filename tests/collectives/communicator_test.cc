@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "collectives/algorithms.hh"
 #include "collectives/volume.hh"
 
@@ -321,6 +323,21 @@ TEST_F(DualNodeCollectiveTest, HierarchicalCutsRoceByClosedForm)
                                  CollectiveAlgo::Ring, 2, 4, 1e9);
     EXPECT_NEAR(measured, closed, 0.01);
     EXPECT_NEAR(closed, 4.0 / 7.0, 1e-12);
+}
+
+TEST_F(CollectiveTest, InvocationStateFreedOnCompletion)
+{
+    // Pending transfer callbacks are the only owners of an
+    // invocation's state (round schedule, on_done): once the last one
+    // has fired, nothing may keep it alive.
+    auto sentinel = std::make_shared<int>(0);
+    const std::weak_ptr<int> weak = sentinel;
+    coll_.allReduce(CommGroup::worldOf(4), 4e9,
+                    [sentinel] { ++*sentinel; });
+    sentinel.reset();
+    sim_.run();
+    EXPECT_EQ(coll_.completedCount(), 1u);
+    EXPECT_TRUE(weak.expired());
 }
 
 TEST_F(CollectiveTest, DeathOnSingletonGroup)

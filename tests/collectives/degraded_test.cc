@@ -94,6 +94,28 @@ class DegradedCollectiveTest : public testing::Test
             });
     }
 
+    /** RoCE resources under the inter-node hops (3->4, 7->0) of an
+     * unpinned single-channel ring over all eight ranks. */
+    std::vector<ResourceId>
+    ringInterNodeRoce() const
+    {
+        const Router &router = cluster_.router();
+        std::vector<ResourceId> used;
+        for (const auto &[s, d] : {std::pair<int, int>{3, 4}, {7, 0}}) {
+            const Route r = router.routeForFlow(cluster_.gpuByRank(s),
+                                                cluster_.gpuByRank(d), 0);
+            for (HalfLinkId hid : r.hops) {
+                const HalfLink &hl = cluster_.topology().halfLink(hid);
+                if (hl.cls == LinkClass::Roce &&
+                    std::find(used.begin(), used.end(), hl.resource) ==
+                        used.end()) {
+                    used.push_back(hl.resource);
+                }
+            }
+        }
+        return used;
+    }
+
     Bytes
     fabricBytes(LinkClass cls)
     {
@@ -174,20 +196,7 @@ TEST_F(DegradedCollectiveTest, WatchdogRescuesStalledRound)
     // Cut exactly the RoCE links the ring's inter-node hops route
     // over, without notifying the transfer manager: no stranded-flow
     // scan runs, so only the round watchdog can rescue the stall.
-    const Router &router = cluster_.router();
-    std::vector<ResourceId> used;
-    for (const auto &[s, d] : {std::pair<int, int>{3, 4}, {7, 0}}) {
-        const Route r = router.routeForFlow(cluster_.gpuByRank(s),
-                                            cluster_.gpuByRank(d), 0);
-        for (HalfLinkId hid : r.hops) {
-            const HalfLink &hl = cluster_.topology().halfLink(hid);
-            if (hl.cls == LinkClass::Roce &&
-                std::find(used.begin(), used.end(), hl.resource) ==
-                    used.end()) {
-                used.push_back(hl.resource);
-            }
-        }
-    }
+    const std::vector<ResourceId> used = ringInterNodeRoce();
     ASSERT_FALSE(used.empty());
 
     CollectiveOptions opts;
@@ -202,6 +211,30 @@ TEST_F(DegradedCollectiveTest, WatchdogRescuesStalledRound)
     EXPECT_TRUE(done);
     tm_.verifyConservation();
     EXPECT_GE(rc_->stats().collective_timeouts, 1u);
+}
+
+TEST_F(DegradedCollectiveTest, WatchdogRescueFreesInvocationState)
+{
+    // The watchdog path adds pending watchdog, relaunch and settle
+    // events that own the invocation's state; once they and the
+    // transfer callbacks have all fired, nothing may keep it alive.
+    const std::vector<ResourceId> used = ringInterNodeRoce();
+    ASSERT_FALSE(used.empty());
+
+    CollectiveOptions opts;
+    opts.algorithm = CollectiveAlgo::Ring;
+    opts.channels = 1;
+    opts.pin_channels_to_nics = false;
+    auto sentinel = std::make_shared<int>(0);
+    const std::weak_ptr<int> weak = sentinel;
+    coll_.allReduce(CommGroup::worldOf(8), 8e8,
+                    [sentinel] { ++*sentinel; }, opts);
+    sentinel.reset();
+    killAt(1e-3, used, /*notify_tm=*/false);
+    sim_.run();
+    EXPECT_EQ(coll_.completedCount(), 1u);
+    EXPECT_GE(rc_->stats().collective_timeouts, 1u);
+    EXPECT_TRUE(weak.expired());
 }
 
 TEST_F(DegradedCollectiveTest, HierarchicalFallsBackOnNvlinkCut)

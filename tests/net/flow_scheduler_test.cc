@@ -565,44 +565,6 @@ TEST(FlowSchedulerBatchTest, CapacityStormMatchesUnbatchedCalls)
     EXPECT_EQ(plain.sim.run(), batched.sim.run());
 }
 
-TEST(FlowSchedulerIndexTest, LegacyScanIsBitIdenticalAndCounted)
-{
-    // completion_index = false restores the legacy full scan; stored
-    // finish times are the same values, so every completion instant
-    // must match the indexed scheduler bitwise.
-    FlowSchedulerOptions legacy_opts;
-    legacy_opts.completion_index = false;
-    OptsTwin indexed{FlowSchedulerOptions{}};
-    OptsTwin legacy{legacy_opts};
-
-    std::vector<SimTime> indexed_done;
-    std::vector<SimTime> legacy_done;
-    for (OptsTwin *tw : {&indexed, &legacy}) {
-        std::vector<SimTime> &done =
-            tw == &indexed ? indexed_done : legacy_done;
-        for (int i = 0; i < 6; ++i) {
-            FlowSpec spec;
-            spec.route = tw->gpuRoute(i % 2 == 0 ? 0 : 2,
-                                      i % 2 == 0 ? 1 : 3);
-            spec.bytes = 10e9 * (i + 1);
-            spec.on_complete = [&done, tw] {
-                done.push_back(tw->sim.now());
-            };
-            tw->flows.start(std::move(spec));
-        }
-    }
-    EXPECT_EQ(indexed.sim.run(), legacy.sim.run());
-    ASSERT_EQ(indexed_done.size(), legacy_done.size());
-    for (std::size_t i = 0; i < indexed_done.size(); ++i)
-        EXPECT_EQ(indexed_done[i], legacy_done[i]);
-
-    // The knob really switched implementations.
-    EXPECT_GT(indexed.flows.stats().completion_index_updates, 0u);
-    EXPECT_GT(indexed.flows.stats().completion_scans_avoided, 0u);
-    EXPECT_EQ(legacy.flows.stats().completion_index_updates, 0u);
-    EXPECT_EQ(legacy.flows.stats().completion_scans_avoided, 0u);
-}
-
 TEST(FlowSchedulerParallelTest, PooledFillsMatchSerialBitwise)
 {
     // Batched starts force one solve spanning two components; with a

@@ -1,26 +1,25 @@
 /**
  * @file
- * Solver-equivalence fuzz: the region-scoped incremental solver must
- * produce rates bit-identical to the global water-filling oracle on
+ * Solver fuzz: the region-scoped incremental solver must keep every
+ * flow's rate bit-identical to a from-scratch fair-share fill on
  * randomized interleavings of start / finish / setCapacity /
  * setCapacities / cancel over generated fabrics.
  *
- * Two layers of checking run at once:
+ * Two fuzzes share the op generators:
  *
- *  - Twin lockstep: a Region-mode scheduler and a Global-mode
- *    scheduler are driven through the same op sequence on identical
- *    clusters, comparing every flow's rate (EXPECT_EQ on the doubles
- *    — bitwise for non-NaN values) after every op and every
- *    completion wave.
- *
- *  - Both twins run with verify_fair_share: the scheduler itself
+ *  - RegionSolverFuzz runs one scheduler with verify_fair_share: it
  *    re-runs the from-scratch per-component oracle after every event
- *    and fatal()s on any divergence, which also covers the events
- *    that fire inside runUntil() between our checkpoints. (Verify
- *    mode disables the start/finish fast paths — an incrementally
- *    assigned rate equals a fresh fill mathematically but not always
- *    in the last bit — so the oracle checks region-closure
- *    correctness, not float dust; see DESIGN.md §6.1.)
+ *    (including the completions that fire inside runUntil()) and
+ *    fatal()s on any bitwise divergence of a rate, the completion
+ *    index or the stalled list. (Verify mode disables the start/finish
+ *    fast paths — an incrementally assigned rate equals a fresh fill
+ *    mathematically but not always in the last bit — so the oracle
+ *    checks region-closure correctness, not float dust; see DESIGN.md
+ *    §6.1.)
+ *
+ *  - ImplementationTwinFuzz drives the serial scheduler, pooled
+ *    component fills and capacity-storm batching in lockstep and
+ *    compares every rate bitwise after every op.
  */
 
 #include <gtest/gtest.h>
@@ -37,10 +36,10 @@
 namespace dstrain {
 namespace {
 
-/** One simulation + cluster + scheduler under a chosen solver. */
-struct Twin {
-    Twin(const ClusterSpec &spec, FlowSolverMode mode, bool verify)
-        : cluster(spec), flows(sim, cluster.topology(), mode, verify)
+/** One simulation + cluster + scheduler built from explicit options. */
+struct ImplTwin {
+    ImplTwin(const ClusterSpec &spec, const FlowSchedulerOptions &opts)
+        : cluster(spec), flows(sim, cluster.topology(), opts)
     {
     }
 
@@ -50,19 +49,20 @@ struct Twin {
     int done = 0;
 };
 
-/** Fuzz both solvers through one seeded op sequence. */
+/** Fuzz one verifying scheduler through a seeded op sequence. */
 void
 fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops)
 {
-    Twin region(spec, FlowSolverMode::Region, true);
-    Twin global(spec, FlowSolverMode::Global, true);
+    FlowSchedulerOptions opts;
+    opts.verify_fair_share = true;
+    ImplTwin tw(spec, opts);
     Rng rng(seed);
 
     // Fault candidates: the fabric's RoCE links (uplinks + trunks) —
     // the resources multi-link faults scale in real plans.
     std::vector<ResourceId> roce;
     std::vector<Bps> nominal;
-    for (const Resource &r : region.cluster.topology().resources()) {
+    for (const Resource &r : tw.cluster.topology().resources()) {
         if (r.cls == LinkClass::Roce) {
             roce.push_back(r.id);
             nominal.push_back(r.nominal_capacity);
@@ -70,34 +70,19 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops)
     }
     ASSERT_FALSE(roce.empty());
 
-    const int gpus = region.cluster.spec().totalGpus();
-    std::vector<FlowId> ids;  // same ids in both twins
-
-    auto compareRates = [&] {
-        for (FlowId id : ids) {
-            ASSERT_EQ(region.flows.isActive(id),
-                      global.flows.isActive(id))
-                << "activity diverged for flow " << id;
-            ASSERT_EQ(region.flows.currentRate(id),
-                      global.flows.currentRate(id))
-                << "rate diverged for flow " << id;
-        }
-        ASSERT_EQ(region.flows.activeCount(),
-                  global.flows.activeCount());
-        ASSERT_EQ(region.done, global.done);
-    };
+    const int gpus = tw.cluster.spec().totalGpus();
+    std::vector<FlowId> ids;
+    int started = 0;
 
     const double fractions[] = {0.0, 0.25, 0.5, 1.0};
     SimTime t = 0.0;
     for (int op = 0; op < ops; ++op) {
         t += rng.uniform(1e-4, 5e-3);
-        region.sim.runUntil(t);
-        global.sim.runUntil(t);
+        tw.sim.runUntil(t);
 
         const std::uint64_t kind = rng.below(10);
         if (kind < 5) {
-            // Start: a cross-GPU transfer on the ECMP route both
-            // routers resolve identically (same topology, same key).
+            // Start: a cross-GPU transfer on an ECMP route.
             const int a = static_cast<int>(rng.below(
                 static_cast<std::uint64_t>(gpus)));
             int b = static_cast<int>(
@@ -107,26 +92,18 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops)
             const std::uint64_t key = rng.below(1u << 20);
             const Bytes bytes =
                 static_cast<double>(1 + rng.below(64)) * 1e8;
-            FlowId rid = 0;
-            FlowId gid = 0;
-            for (Twin *tw : {&region, &global}) {
-                FlowSpec fs;
-                fs.route = tw->cluster.router().routeForFlow(
-                    tw->cluster.gpuByRank(a), tw->cluster.gpuByRank(b),
-                    key);
-                fs.bytes = bytes;
-                fs.on_complete = [tw] { ++tw->done; };
-                (tw == &region ? rid : gid) =
-                    tw->flows.start(std::move(fs));
-            }
-            ASSERT_EQ(rid, gid);
-            ids.push_back(rid);
+            FlowSpec fs;
+            fs.route = tw.cluster.router().routeForFlow(
+                tw.cluster.gpuByRank(a), tw.cluster.gpuByRank(b), key);
+            fs.bytes = bytes;
+            fs.on_complete = [&tw] { ++tw.done; };
+            ids.push_back(tw.flows.start(std::move(fs)));
+            ++started;
         } else if (kind < 7) {
             // Single-link capacity change.
             const std::size_t i = rng.below(roce.size());
-            const double f = fractions[rng.below(4)];
-            region.flows.setCapacity(roce[i], nominal[i] * f);
-            global.flows.setCapacity(roce[i], nominal[i] * f);
+            tw.flows.setCapacity(roce[i],
+                                 nominal[i] * fractions[rng.below(4)]);
         } else if (kind == 7) {
             // Batched multi-link change (the fault-domain path).
             std::vector<std::pair<ResourceId, Bps>> batch;
@@ -136,38 +113,29 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops)
                 batch.emplace_back(roce[i],
                                    nominal[i] * fractions[rng.below(4)]);
             }
-            region.flows.setCapacities(batch);
-            global.flows.setCapacities(batch);
+            tw.flows.setCapacities(batch);
         } else if (!ids.empty()) {
-            // Cancel a random still-active flow.
-            const FlowId id = ids[rng.below(ids.size())];
-            Bytes rrem = 0.0;
-            Bytes grem = 0.0;
-            const bool rok = region.flows.cancel(id, &rrem);
-            const bool gok = global.flows.cancel(id, &grem);
-            ASSERT_EQ(rok, gok);
-            ASSERT_EQ(rrem, grem) << "cancel remainder diverged";
+            // Cancel a random flow; a cancelled flow drops its
+            // remainder, which must be a valid byte count.
+            Bytes rem = -1.0;
+            if (tw.flows.cancel(ids[rng.below(ids.size())], &rem)) {
+                ASSERT_GE(rem, 0.0);
+                ++tw.done;  // accounted as gone, never as completed
+            }
         }
-        compareRates();
     }
 
-    // Restore every link and drain: both twins must finish every
-    // surviving flow at the same instant.
-    for (std::size_t i = 0; i < roce.size(); ++i) {
-        region.flows.setCapacity(roce[i], nominal[i]);
-        global.flows.setCapacity(roce[i], nominal[i]);
-    }
-    compareRates();
-    const SimTime rend = region.sim.run();
-    const SimTime gend = global.sim.run();
-    ASSERT_EQ(rend, gend) << "drain times diverged";
-    ASSERT_EQ(region.done, global.done);
-    ASSERT_EQ(region.flows.activeCount(), 0u);
+    // Restore every link and drain: every surviving flow must finish.
+    for (std::size_t i = 0; i < roce.size(); ++i)
+        tw.flows.setCapacity(roce[i], nominal[i]);
+    tw.sim.run();
+    ASSERT_EQ(tw.flows.activeCount(), 0u);
+    ASSERT_EQ(tw.done, started);
 
-    // The verify twin really ran its oracle, and the region solver
-    // really ran scoped solves (not silent global fallbacks).
-    EXPECT_GT(region.flows.stats().verified_solves, 0u);
-    EXPECT_GT(region.flows.stats().region_solves, 0u);
+    // The oracle really ran, and the region solver really ran scoped
+    // solves.
+    EXPECT_GT(tw.flows.stats().verified_solves, 0u);
+    EXPECT_GT(tw.flows.stats().region_solves, 0u);
 }
 
 ClusterSpec
@@ -209,24 +177,11 @@ TEST_P(RegionSolverFuzz, SpineLeafBitIdenticalToOracle)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegionSolverFuzz, testing::Range(1, 7));
 
-/** One simulation + cluster + scheduler built from explicit options. */
-struct ImplTwin {
-    ImplTwin(const ClusterSpec &spec, const FlowSchedulerOptions &opts)
-        : cluster(spec), flows(sim, cluster.topology(), opts)
-    {
-    }
-
-    Simulation sim;
-    Cluster cluster;
-    FlowScheduler flows;
-    int done = 0;
-};
-
 /**
- * Implementation-equivalence fuzz: the completion index, the legacy
- * completion scan, pooled component fills and capacity-storm batching
- * are four implementations of one contract — bit-identical flow rates
- * and completion instants for any op history. Drive all four through
+ * Implementation-equivalence fuzz: the serial scheduler, pooled
+ * component fills and capacity-storm batching are three
+ * implementations of one contract — bit-identical flow rates and
+ * completion instants for any op history. Drive all three through
  * one seeded sequence of start / capacity-storm (including full
  * outages, so flows park and unpark) / cancel / cancelAll ops and
  * compare them after every op and at the drain.
@@ -236,18 +191,15 @@ fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
                         int ops)
 {
     TaskPool pool(2);
-    FlowSchedulerOptions base_opts;  // index on, serial, unbatched
-    FlowSchedulerOptions legacy_opts;
-    legacy_opts.completion_index = false;
+    FlowSchedulerOptions base_opts;  // serial, unbatched
     FlowSchedulerOptions par_opts;
     par_opts.fill_pool = &pool;
     par_opts.parallel_fill_threshold = 2;
 
     ImplTwin base(spec, base_opts);
-    ImplTwin legacy(spec, legacy_opts);
     ImplTwin par(spec, par_opts);
     ImplTwin batched(spec, base_opts);  // storms arrive batched
-    ImplTwin *const twins[] = {&base, &legacy, &par, &batched};
+    ImplTwin *const twins[] = {&base, &par, &batched};
     Rng rng(seed);
 
     std::vector<ResourceId> roce;
@@ -264,7 +216,7 @@ fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
     std::vector<FlowId> ids;
 
     auto compare = [&] {
-        for (ImplTwin *tw : {&legacy, &par, &batched}) {
+        for (ImplTwin *tw : {&par, &batched}) {
             for (FlowId id : ids) {
                 ASSERT_EQ(base.flows.isActive(id),
                           tw->flows.isActive(id))
@@ -325,7 +277,7 @@ fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
                 storm.emplace_back(roce[i],
                                    nominal[i] * fractions[rng.below(4)]);
             }
-            for (ImplTwin *tw : {&base, &legacy, &par}) {
+            for (ImplTwin *tw : {&base, &par}) {
                 for (const auto &[rid, cap] : storm)
                     tw->flows.setCapacity(rid, cap);
             }
@@ -350,8 +302,8 @@ fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
                 }
             }
         } else if (kind == 10 && op > 0 && op % 37 == 0) {
-            // Rare mass abort: empties the index / scan state of all
-            // four twins at once.
+            // Rare mass abort: empties the index and stalled state of
+            // all three twins at once.
             std::size_t first = 0;
             for (ImplTwin *tw : twins) {
                 const std::size_t n = tw->flows.cancelAll();
@@ -370,14 +322,13 @@ fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
             tw->flows.setCapacity(roce[i], nominal[i]);
     compare();
     const SimTime end = base.sim.run();
-    for (ImplTwin *tw : {&legacy, &par, &batched})
+    for (ImplTwin *tw : {&par, &batched})
         ASSERT_EQ(tw->sim.run(), end) << "drain times diverged";
     compare();
     ASSERT_EQ(base.flows.activeCount(), 0u);
 
     // Each twin really exercised its distinct machinery.
     EXPECT_GT(base.flows.stats().completion_index_updates, 0u);
-    EXPECT_EQ(legacy.flows.stats().completion_index_updates, 0u);
     EXPECT_GT(batched.flows.stats().batched_events, 0u);
 }
 

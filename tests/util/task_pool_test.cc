@@ -100,5 +100,12 @@ TEST(TaskPoolTest, PerWorkerScratchSeesNoSharing)
     EXPECT_EQ(total, 300u);
 }
 
+TEST(TaskPoolDeathTest, NegativeThreadCountAsserts)
+{
+    // The count is exact: "one per hardware thread" is the caller's
+    // decision, not a sentinel value.
+    EXPECT_DEATH(TaskPool(-1), "negative TaskPool thread count");
+}
+
 } // namespace
 } // namespace dstrain

@@ -37,16 +37,6 @@ CANARY_METRIC = "ops_per_sec"
 SKIPPED_SCENARIOS = {CANARY_SCENARIO, "sweep_jobs"}
 
 
-def scenario_key(rec):
-    """Identity of one bench line: scenario plus solver mode (the
-    region and global passes of one scenario are separate series)."""
-    key = rec.get("scenario")
-    if key is None:
-        return None
-    solver = rec.get("solver")
-    return f"{key}/{solver}" if solver else key
-
-
 def load_jsonl(path):
     recs = {}
     canary = None
@@ -56,12 +46,12 @@ def load_jsonl(path):
             if not line:
                 continue
             rec = json.loads(line)
-            key = scenario_key(rec)
+            key = rec.get("scenario")
             if key is None:
                 continue
-            if rec.get("scenario") == CANARY_SCENARIO:
+            if key == CANARY_SCENARIO:
                 canary = rec.get(CANARY_METRIC)
-            elif rec.get("scenario") not in SKIPPED_SCENARIOS:
+            elif key not in SKIPPED_SCENARIOS:
                 metric = rec.get(GUARDED_METRIC)
                 if metric is not None:
                     recs[key] = float(metric)
