@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <string>
 
 #include "core/presets.hh"
@@ -59,6 +60,17 @@ struct ChaosScenario {
     const char *strategy;  ///< "ddp" | "zero3" | "fsdp"
     std::uint64_t seed;
 };
+
+/**
+ * gtest's default printer dumps the struct's raw bytes — pointer
+ * values that move with every load address, plus padding — into the
+ * listed test names. Print the seed, which identifies the scenario.
+ */
+void
+PrintTo(const ChaosScenario &sc, std::ostream *os)
+{
+    *os << csprintf("0x%llx", static_cast<unsigned long long>(sc.seed));
+}
 
 StrategyConfig
 strategyByName(const std::string &name)
