@@ -82,6 +82,10 @@ Router::invalidateRouteCaches() const
 {
     cache_.clear();
     ecmp_cache_.clear();
+    through_.clear();
+    through_ids_.clear();
+    through_crossings_.clear();
+    through_index_.clear();
     rev_dist_cache_.clear();
     tree_src_ = kNoComponent;
     tree_scratch_.complete = false;
@@ -215,11 +219,99 @@ Router::routeForFlow(ComponentId src, ComponentId dst,
         e, static_cast<std::size_t>(h % e.paths.size()));
 }
 
+std::uint32_t
+Router::findThrough(std::uint64_t hash, ComponentId src,
+                    const std::vector<ComponentId> &waypoints,
+                    ComponentId dst, std::uint64_t flow_key) const
+{
+    if (through_index_.empty())
+        return kNoThrough;
+    const std::size_t mask = through_index_.size() - 1;
+    for (std::size_t i = hash & mask; through_index_[i] != kNoThrough;
+         i = (i + 1) & mask) {
+        const ThroughEntry &e = through_[through_index_[i]];
+        if (e.hash == hash && e.src == src && e.dst == dst &&
+            e.flow_key == flow_key && e.n_waypoints == waypoints.size() &&
+            std::equal(waypoints.begin(), waypoints.end(),
+                       through_ids_.begin() + e.ids_begin))
+            return through_index_[i];
+    }
+    return kNoThrough;
+}
+
+void
+Router::memoizeThrough(std::uint64_t hash, ComponentId src,
+                       const std::vector<ComponentId> &waypoints,
+                       ComponentId dst, std::uint64_t flow_key,
+                       const Route &r) const
+{
+    ThroughEntry e;
+    e.hash = hash;
+    e.flow_key = flow_key;
+    e.src = src;
+    e.dst = dst;
+    e.ids_begin = static_cast<std::uint32_t>(through_ids_.size());
+    e.n_waypoints = static_cast<std::uint32_t>(waypoints.size());
+    e.n_hops = static_cast<std::uint32_t>(r.hops.size());
+    e.crossings_begin =
+        static_cast<std::uint32_t>(through_crossings_.size());
+    e.n_crossings = static_cast<std::uint32_t>(r.crossings.size());
+    e.latency = r.latency;
+    e.serdes_factor = r.serdes_factor;
+    e.rate_cap = r.rate_cap;
+    through_ids_.insert(through_ids_.end(), waypoints.begin(),
+                        waypoints.end());
+    through_ids_.insert(through_ids_.end(), r.hops.begin(), r.hops.end());
+    through_crossings_.insert(through_crossings_.end(),
+                              r.crossings.begin(), r.crossings.end());
+    through_.push_back(e);
+
+    // Keep the index at most half full: every probe meets an empty
+    // slot. Growing re-inserts every entry from its stored hash.
+    auto place = [this](std::uint32_t k) {
+        const std::size_t mask = through_index_.size() - 1;
+        std::size_t i = through_[k].hash & mask;
+        while (through_index_[i] != kNoThrough)
+            i = (i + 1) & mask;
+        through_index_[i] = k;
+    };
+    if (2 * through_.size() > through_index_.size()) {
+        through_index_.assign(
+            std::max<std::size_t>(64, 2 * through_index_.size()),
+            kNoThrough);
+        for (std::uint32_t k = 0; k < through_.size(); ++k)
+            place(k);
+    } else {
+        place(static_cast<std::uint32_t>(through_.size() - 1));
+    }
+}
+
 Route
 Router::routeThrough(ComponentId src,
                      const std::vector<ComponentId> &waypoints,
                      ComponentId dst, std::uint64_t flow_key) const
 {
+    std::uint64_t hash = mix64(cacheKey(src, dst) ^ mix64(flow_key));
+    for (ComponentId wp : waypoints)
+        hash = mix64(hash + static_cast<std::uint32_t>(wp));
+
+    const std::uint32_t hit =
+        findThrough(hash, src, waypoints, dst, flow_key);
+    if (hit != kNoThrough) {
+        const ThroughEntry &e = through_[hit];
+        Route r;
+        const auto hops = through_ids_.begin() + e.ids_begin +
+                          e.n_waypoints;
+        r.hops.assign(hops, hops + e.n_hops);
+        const auto cross =
+            through_crossings_.begin() + e.crossings_begin;
+        r.crossings.assign(cross, cross + e.n_crossings);
+        r.latency = e.latency;
+        r.serdes_factor = e.serdes_factor;
+        r.rate_cap = e.rate_cap;
+        return r;
+    }
+
     std::vector<HalfLinkId> hops;
     ComponentId cur = src;
     for (ComponentId wp : waypoints) {
@@ -229,7 +321,9 @@ Router::routeThrough(ComponentId src,
     }
     const Route &last = routeForFlow(cur, dst, flow_key);
     hops.insert(hops.end(), last.hops.begin(), last.hops.end());
-    return finishRoute(std::move(hops));
+    Route r = finishRoute(std::move(hops));
+    memoizeThrough(hash, src, waypoints, dst, flow_key, r);
+    return r;
 }
 
 Route

@@ -121,7 +121,8 @@ class Router
      * of @p waypoints, in order (the concatenation of the per-segment
      * selections). Used for NIC pinning in multi-channel collectives
      * and for fault reroutes. An empty waypoint list is a plain
-     * routeForFlow(src, dst, flow_key).
+     * routeForFlow(src, dst, flow_key). Memoized per (src,
+     * waypoints, dst, flow_key) until invalidateRouteCaches().
      */
     Route routeThrough(ComponentId src,
                        const std::vector<ComponentId> &waypoints,
@@ -156,8 +157,9 @@ class Router
     bool avoidDeadLinks() const { return avoid_dead_; }
 
     /**
-     * Drop every cached route, ECMP enumeration and BFS tree so the
-     * next computation sees the current capacities. Called by the
+     * Drop every cached route, ECMP enumeration, composite-route memo
+     * entry and BFS tree so the next computation sees the current
+     * capacities. Called by the
      * ResilienceCoordinator when a routing-reconvergence window
      * closes; cheap relative to the reconvergence delay it models.
      * The structural navigation arrays survive (the graph itself
@@ -281,6 +283,40 @@ class Router
     /** Analyze crossings/latency/cap of a hop sequence. */
     Route finishRoute(std::vector<HalfLinkId> hops) const;
 
+    /**
+     * One memoized routeThrough() result. The key's waypoints and the
+     * route's hops sit back to back in through_ids_, its crossings in
+     * through_crossings_; the index maps a key hash to the entry.
+     */
+    struct ThroughEntry {
+        std::uint64_t hash = 0;
+        std::uint64_t flow_key = 0;
+        ComponentId src = kNoComponent;
+        ComponentId dst = kNoComponent;
+        std::uint32_t ids_begin = 0;   ///< waypoints, then hops
+        std::uint32_t n_waypoints = 0;
+        std::uint32_t n_hops = 0;
+        std::uint32_t crossings_begin = 0;
+        std::uint32_t n_crossings = 0;
+        SimTime latency = 0.0;
+        double serdes_factor = 1.0;
+        Bps rate_cap = 0.0;
+    };
+
+    /** Entry index of the memoized key, or kNoThrough. */
+    std::uint32_t findThrough(std::uint64_t hash, ComponentId src,
+                              const std::vector<ComponentId> &waypoints,
+                              ComponentId dst,
+                              std::uint64_t flow_key) const;
+
+    /** Append @p r as the memo entry of the given key. */
+    void memoizeThrough(std::uint64_t hash, ComponentId src,
+                        const std::vector<ComponentId> &waypoints,
+                        ComponentId dst, std::uint64_t flow_key,
+                        const Route &r) const;
+
+    static constexpr std::uint32_t kNoThrough = 0xffffffffu;
+
     /** Is @p hid's resource at capacity zero right now? */
     bool edgeDead(HalfLinkId hid) const;
 
@@ -314,6 +350,18 @@ class Router
      */
     mutable std::unordered_map<std::uint64_t, Route> cache_;
     mutable std::unordered_map<std::uint64_t, EcmpEntry> ecmp_cache_;
+    /**
+     * The composite-route memo of routeThrough(). A composite is a
+     * pure function of the per-pair caches above (the degraded-mode
+     * stale fallbacks are cached there too), so it is flushed with
+     * them and a hit is bit-identical to a recompute. Flat storage:
+     * entries plus two arenas, and an open-addressing index (linear
+     * probing, at most half full) of entry numbers.
+     */
+    mutable std::vector<ThroughEntry> through_;
+    mutable std::vector<int> through_ids_;
+    mutable std::vector<SerdesCrossing> through_crossings_;
+    mutable std::vector<std::uint32_t> through_index_;
     /**
      * Single-slot forward-tree scratch. Finished routes are cached
      * per pair above, so a source tree is only re-read while the

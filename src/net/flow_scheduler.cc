@@ -62,6 +62,14 @@ constexpr Bytes kByteEpsilon = 1.0;
 /** Residual capacity below this fraction counts as saturated. */
 constexpr double kSaturationFraction = 1e-9;
 
+/**
+ * A resource whose effective capacity exceeds the summed caps of its
+ * crossers by more than this fraction can never bind a fill (see
+ * partitionComponents()). Far above the float error of a fill's
+ * residual (~1e-15 relative) and of the cap sum itself.
+ */
+constexpr double kNeverBindsMargin = 1e-6;
+
 } // namespace
 
 FlowScheduler::FlowScheduler(Simulation &sim, Topology &topo,
@@ -91,14 +99,14 @@ FlowScheduler::ensureResourceArrays()
     const std::size_t old = eff_cap_.size();
     eff_cap_.resize(n);
     total_rate_.resize(n, 0.0);
+    total_dirty_.resize(n, 0);
     nflows_.resize(n, 0);
     residual_.resize(n, 0.0);
     crossing_.resize(n, 0);
     res_flows_.resize(n);
     res_mark_.resize(n, 0);
-    res_comp_mark_.resize(n, 0);
+    res_hot_.resize(n);
     res_saturated_.resize(n, 0);
-    res_local_.resize(n, 0);
     for (std::size_t i = old; i < n; ++i) {
         const Resource &r = topo_.resource(static_cast<ResourceId>(i));
         eff_cap_[i] = r.capacity * linkClassEfficiency(r.cls);
@@ -110,6 +118,85 @@ FlowScheduler::saturated(ResourceId rid) const
 {
     return eff_cap_[rid] - total_rate_[rid] <=
            eff_cap_[rid] * kSaturationFraction;
+}
+
+// --- active id map -------------------------------------------------------
+
+std::size_t
+FlowScheduler::IdSlotMap::home(FlowId id) const
+{
+    // Fibonacci hashing: spreads monotonic ids and strided id sets
+    // alike over the top bits.
+    return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+}
+
+std::int32_t
+FlowScheduler::IdSlotMap::find(FlowId id) const
+{
+    if (table_.empty() || id == 0)
+        return -1;
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t i = home(id);; i = (i + 1) & mask) {
+        const Entry &e = table_[i];
+        if (e.id == id)
+            return static_cast<std::int32_t>(e.slot);
+        if (e.id == 0)
+            return -1;
+    }
+}
+
+void
+FlowScheduler::IdSlotMap::place(Entry e)
+{
+    const std::size_t mask = table_.size() - 1;
+    std::size_t i = home(e.id);
+    while (table_[i].id != 0)
+        i = (i + 1) & mask;
+    table_[i] = e;
+}
+
+void
+FlowScheduler::IdSlotMap::insert(FlowId id, std::uint32_t slot)
+{
+    // At most half full, so every probe sequence meets an empty entry.
+    if (2 * (size_ + 1) > table_.size()) {
+        std::vector<Entry> old = std::move(table_);
+        table_.assign(std::max<std::size_t>(16, 2 * old.size()), Entry{});
+        shift_ = 64;
+        for (std::size_t c = table_.size(); c > 1; c >>= 1)
+            --shift_;
+        for (const Entry &e : old)
+            if (e.id != 0)
+                place(e);
+    }
+    place(Entry{id, slot});
+    ++size_;
+}
+
+void
+FlowScheduler::IdSlotMap::erase(FlowId id)
+{
+    const std::size_t mask = table_.size() - 1;
+    std::size_t hole = home(id);
+    while (table_[hole].id != id) {
+        DSTRAIN_ASSERT(table_[hole].id != 0, "erase of unmapped flow id");
+        hole = (hole + 1) & mask;
+    }
+    // Backward-shift deletion: pull each later entry of the probe run
+    // into the hole unless its home lies cyclically in (hole, j], so
+    // no lookup ever stops early at the freed entry.
+    for (std::size_t j = (hole + 1) & mask; table_[j].id != 0;
+         j = (j + 1) & mask) {
+        const std::size_t h = home(table_[j].id);
+        const bool stays = (hole <= j) ? (hole < h && h <= j)
+                                       : (hole < h || h <= j);
+        if (!stays) {
+            table_[hole] = table_[j];
+            hole = j;
+        }
+    }
+    table_[hole] = Entry{};
+    --size_;
 }
 
 // --- dense slot map ------------------------------------------------------
@@ -124,23 +211,21 @@ FlowScheduler::registerFlow(Flow f)
         next_slot_.push_back(-1);
         prev_slot_.push_back(-1);
         flow_mark_.push_back(0);
-        comp_mark_.push_back(0);
         index_seq_.push_back(0);
         stalled_pos_.push_back(0);
         rate_slot_.push_back(0.0);
-        stalled_slot_.push_back(0);
+        slot_hot_.push_back(SlotHot{});
         route_begin_.push_back(0);
         route_len_.push_back(0);
-        cap_slot_.push_back(0.0);
     } else {
         slot = free_slots_.back();
         free_slots_.pop_back();
         slots_[slot] = std::move(f);
         rate_slot_[slot] = 0.0;
-        stalled_slot_[slot] = 0;
+        slot_hot_[slot].stalled = 0;
     }
     Flow &g = slots_[slot];
-    cap_slot_[slot] = g.cap;
+    slot_hot_[slot].cap = g.cap;
     if (route_arena_.size() + g.resources.size() >
         2 * arena_live_ + 64) {
         compactRouteArena();
@@ -150,8 +235,7 @@ FlowScheduler::registerFlow(Flow f)
     route_arena_.insert(route_arena_.end(), g.resources.begin(),
                         g.resources.end());
     arena_live_ += g.resources.size();
-    slot_of_id_[static_cast<std::size_t>(g.id - 1)] =
-        static_cast<std::int32_t>(slot);
+    slot_of_id_.insert(g.id, slot);
 
     // Append at the tail: ids are issued monotonically, so the active
     // list stays in ascending-id order.
@@ -169,6 +253,7 @@ FlowScheduler::registerFlow(Flow f)
         auto &lst = res_flows_[g.resources[k]];
         g.res_pos.push_back(static_cast<std::uint32_t>(lst.size()));
         lst.push_back({slot, static_cast<std::uint32_t>(k)});
+        markTotalDirty(g.resources[k]);
     }
     ++active_count_;
     return slot;
@@ -185,8 +270,9 @@ FlowScheduler::detachFlow(std::uint32_t slot)
         lst[pos] = back;
         slots_[back.slot].res_pos[back.idx] = pos;
         lst.pop_back();
+        markTotalDirty(f.resources[k]);
     }
-    slot_of_id_[static_cast<std::size_t>(f.id - 1)] = -1;
+    slot_of_id_.erase(f.id);
     arena_live_ -= route_len_[slot];
 
     const std::int32_t prev = prev_slot_[slot];
@@ -284,7 +370,7 @@ FlowScheduler::parkStalled(std::uint32_t slot)
     if (f.stalled)
         return;
     f.stalled = true;
-    stalled_slot_[slot] = 1;
+    slot_hot_[slot].stalled = 1;
     stalled_pos_[slot] = static_cast<std::uint32_t>(stalled_.size());
     stalled_.push_back(slot);
     ++stats_.stalled_parks;
@@ -296,7 +382,7 @@ FlowScheduler::unparkStalled(std::uint32_t slot)
     Flow &f = slots_[slot];
     DSTRAIN_ASSERT(f.stalled, "unpark of a flow that is not stalled");
     f.stalled = false;
-    stalled_slot_[slot] = 0;
+    slot_hot_[slot].stalled = 0;
     const std::uint32_t pos = stalled_pos_[slot];
     const std::uint32_t back = stalled_.back();
     stalled_[pos] = back;
@@ -308,7 +394,7 @@ void
 FlowScheduler::unparkResource(ResourceId rid)
 {
     for (const ResFlow &rf : res_flows_[rid])
-        if (stalled_slot_[rf.slot])
+        if (slot_hot_[rf.slot].stalled)
             unparkStalled(rf.slot);
 }
 
@@ -340,6 +426,20 @@ FlowScheduler::seedRegionResource(ResourceId rid)
 }
 
 void
+FlowScheduler::nextCompEpoch()
+{
+    if (++comp_epoch_ != 0)
+        return;
+    // Wrapped: old marks could alias the new epoch, so clear them
+    // once every 2^32 partitions.
+    for (SlotHot &h : slot_hot_)
+        h.comp_mark = 0;
+    for (ResHot &h : res_hot_)
+        h.comp_mark = 0;
+    comp_epoch_ = 1;
+}
+
+void
 FlowScheduler::partitionComponents()
 {
     // Close the seed set over shared resources and split it into
@@ -357,8 +457,22 @@ FlowScheduler::partitionComponents()
     // component-local resource ids, initial crossing counts and
     // capacity images — leaving the fills free of any global-array
     // striding (see FillScratch).
+    //
+    // The same crossing-list walk sums the crossers' caps. A resource
+    // whose effective capacity exceeds that sum by the margin can
+    // never bind: in every fill round its residual is at least
+    // cap_eff - sum(cap) > margin * sum(cap) above the sum of its
+    // unfrozen crossers' headroom (cap - rate), so residual / n beats
+    // their min — one of the increment's candidates — and its
+    // residual stays above margin / (1 + margin) of its capacity,
+    // far from the saturation threshold, so it never freezes a flow.
+    // Dropping it from the fill's min-reductions and saturation tests
+    // therefore changes no rate bit; it still joins the closure (so
+    // component membership is unchanged) and region_resources_ (so
+    // its total is maintained).
     components_.clear();
     comp_ranges_.clear();
+    region_resources_.clear();
     comp_flow_res_.clear();
     comp_flow_begin_.clear();
     comp_fcap_.clear();
@@ -366,52 +480,59 @@ FlowScheduler::partitionComponents()
     comp_rid_ranges_.clear();
     comp_crossing_.clear();
     comp_rcap_.clear();
-    ++comp_epoch_;
+    nextCompEpoch();
+    const std::uint32_t epoch = comp_epoch_;
     for (std::uint32_t seed : region_flows_) {
-        if (comp_mark_[seed] == comp_epoch_)
+        if (slot_hot_[seed].comp_mark == epoch)
             continue;
         const std::size_t begin = components_.size();
         const std::size_t rbegin = comp_rids_.size();
         comp_ranges_.push_back(begin);
         comp_rid_ranges_.push_back(rbegin);
-        comp_mark_[seed] = comp_epoch_;
+        slot_hot_[seed].comp_mark = epoch;
         components_.push_back(seed);
         for (std::size_t i = begin; i < components_.size(); ++i) {
             const std::uint32_t slot = components_[i];
             comp_flow_begin_.push_back(
                 static_cast<std::uint32_t>(comp_flow_res_.size()));
-            comp_fcap_.push_back(cap_slot_[slot]);
+            comp_fcap_.push_back(slot_hot_[slot].cap);
             const ResourceId *rr = route_arena_.data() + route_begin_[slot];
             const std::uint32_t rlen = route_len_[slot];
             for (std::uint32_t ri = 0; ri < rlen; ++ri) {
                 const ResourceId rid = rr[ri];
-                std::uint32_t l;
-                if (res_comp_mark_[rid] != comp_epoch_) {
-                    res_comp_mark_[rid] = comp_epoch_;
-                    l = static_cast<std::uint32_t>(comp_rids_.size() -
-                                                   rbegin);
-                    res_local_[rid] = l;
-                    comp_rids_.push_back(rid);
-                    comp_rcap_.push_back(eff_cap_[rid]);
+                ResHot &rh = res_hot_[rid];
+                if (rh.comp_mark != epoch) {
+                    rh.comp_mark = epoch;
+                    region_resources_.push_back(rid);
                     // The closure puts every non-stalled crosser of
                     // rid into this component, and routes are deduped,
                     // so the list count below equals the number of
                     // component flows crossing rid.
                     int crossing = 0;
+                    double capsum = 0.0;
                     for (const ResFlow &rf : res_flows_[rid]) {
-                        if (stalled_slot_[rf.slot])
+                        SlotHot &h = slot_hot_[rf.slot];
+                        if (h.stalled)
                             continue;
                         ++crossing;
-                        if (comp_mark_[rf.slot] != comp_epoch_) {
-                            comp_mark_[rf.slot] = comp_epoch_;
+                        capsum += h.cap;
+                        if (h.comp_mark != epoch) {
+                            h.comp_mark = epoch;
                             components_.push_back(rf.slot);
                         }
                     }
-                    comp_crossing_.push_back(crossing);
-                } else {
-                    l = res_local_[rid];
+                    if (eff_cap_[rid] > capsum * (1.0 + kNeverBindsMargin)) {
+                        rh.local = kNeverBinds;
+                    } else {
+                        rh.local = static_cast<std::uint32_t>(
+                            comp_rids_.size() - rbegin);
+                        comp_rids_.push_back(rid);
+                        comp_rcap_.push_back(eff_cap_[rid]);
+                        comp_crossing_.push_back(crossing);
+                    }
                 }
-                comp_flow_res_.push_back(l);
+                if (rh.local != kNeverBinds)
+                    comp_flow_res_.push_back(rh.local);
             }
         }
         // Components stay in BFS discovery order — deterministic for
@@ -426,8 +547,7 @@ FlowScheduler::partitionComponents()
 }
 
 void
-FlowScheduler::fillComponent(std::size_t c, FillScratch &ws,
-                             std::vector<ResourceId> &out)
+FlowScheduler::fillComponent(std::size_t c, FillScratch &ws)
 {
     // Progressive filling over one connected component of
     // components_. The component is closed under sharing, so each
@@ -548,8 +668,6 @@ FlowScheduler::fillComponent(std::size_t c, FillScratch &ws,
         slots_[components_[i]].rate = ws.frate[i - begin];
         rate_slot_[components_[i]] = ws.frate[i - begin];
     }
-    out.insert(out.end(), comp_rids_.begin() + rbegin,
-               comp_rids_.begin() + rend);
 }
 
 void
@@ -573,26 +691,16 @@ FlowScheduler::solveComponents()
         pool_ != nullptr && ncomp >= 2 && nflows >= parallel_threshold_;
     if (!parallel) {
         for (std::size_t c = 0; c < ncomp; ++c)
-            fillComponent(c, fill_scratch_[0], active_resources_);
+            fillComponent(c, fill_scratch_[0]);
     } else {
         // Components write disjoint flow and per-resource state
         // (closure guarantees their resource sets are disjoint), so
         // the fills are race-free; each worker uses its own scratch.
-        // Per-component resource lists land in comp_out_ and are
-        // concatenated serially in component order, so
-        // active_resources_ is identical to the serial fill's.
         stats_.parallel_component_solves += ncomp;
-        comp_out_.resize(ncomp);
         pool_->parallelFor(ncomp, [&](std::size_t c, int worker) {
-            comp_out_[c].clear();
             fillComponent(c,
-                          fill_scratch_[static_cast<std::size_t>(worker)],
-                          comp_out_[c]);
+                          fill_scratch_[static_cast<std::size_t>(worker)]);
         });
-        for (std::size_t c = 0; c < ncomp; ++c)
-            active_resources_.insert(active_resources_.end(),
-                                     comp_out_[c].begin(),
-                                     comp_out_[c].end());
     }
 
     commitRates();
@@ -605,13 +713,16 @@ FlowScheduler::commitRates()
     // rate changed (at the old rate, over the whole constant-rate
     // span — flows whose rate is unchanged are deliberately left
     // alone, see the file comment), refresh their finish times and
-    // index entries, and park flows the fill left at rate zero.
+    // index entries, mark the totals they feed dirty, and park flows
+    // the fill left at rate zero.
     const SimTime now = sim_.now();
     for (std::size_t i = 0; i < components_.size(); ++i) {
         const std::uint32_t slot = components_[i];
         Flow &f = slots_[slot];
         const double old_rate = prev_rate_[i];
         if (f.rate != old_rate) {
+            for (ResourceId rid : f.resources)
+                markTotalDirty(rid);
             if (now > f.anchor) {
                 f.remaining -= old_rate * (now - f.anchor);
                 if (f.remaining < 0.0)
@@ -644,8 +755,15 @@ FlowScheduler::writeRegionTotals()
     // is canonical. The closure guarantees every non-stalled flow
     // crossing a solved resource is in the solved component; stalled
     // crossers contribute exactly 0.0, which is bit-neutral.
+    // Only dirty totals are re-summed: a clean one has had the same
+    // crossers, in the same order, at the same rates since its last
+    // re-sum, so it already holds the exact sum a re-sum would
+    // produce, and setRate() of an unchanged rate is a no-op.
     const SimTime now = sim_.now();
-    for (ResourceId rid : active_resources_) {
+    for (ResourceId rid : region_resources_) {
+        if (!total_dirty_[rid])
+            continue;
+        total_dirty_[rid] = 0;
         double total = 0.0;
         for (const ResFlow &rf : res_flows_[rid])
             total += rate_slot_[rf.slot];
@@ -670,7 +788,6 @@ FlowScheduler::solveRegion()
             ++bucket;
         stats_.region_hist[std::min(bucket, kRegionHistBuckets - 1)] += 1;
 
-        active_resources_.clear();
         solveComponents();
         writeRegionTotals();
     }
@@ -699,7 +816,6 @@ FlowScheduler::start(FlowSpec spec)
                    spec.tag.c_str());
 
     FlowId id = next_id_++;
-    slot_of_id_.push_back(-1);
     if (spec.bytes <= kByteEpsilon) {
         // Degenerate transfer: complete via a zero-delay event so the
         // caller's state machine always advances asynchronously. The
@@ -1379,6 +1495,23 @@ FlowScheduler::maybeVerify()
         fatal("verify-fair-share: stalled list holds %zu flows but "
               "%zu active flows are parked at t=%g",
               stalled_.size(), nstalled, sim_.now());
+
+    // Every clean per-resource total must be the exact re-sum of its
+    // crossing list: writeRegionTotals() skips clean totals, so one
+    // that missed a membership or rate change would show here. Dirty
+    // totals outside any solved region are exempt; they are re-summed
+    // when a solve next covers the resource (see DESIGN.md §6.1).
+    for (std::size_t rid = 0; rid < res_flows_.size(); ++rid) {
+        if (total_dirty_[rid])
+            continue;
+        double total = 0.0;
+        for (const ResFlow &rf : res_flows_[rid])
+            total += rate_slot_[rf.slot];
+        if (total != total_rate_[rid])
+            fatal("verify-fair-share: clean total %a of resource %zu "
+                  "!= re-sum of its crossers %a at t=%g",
+                  total_rate_[rid], rid, total, sim_.now());
+    }
 
     // ... and the scheduled completion event (fed by the index) must
     // sit at the minimum of them.

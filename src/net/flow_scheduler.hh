@@ -31,7 +31,10 @@
  * when its rate changes, a stored predicted finish time kept in a
  * lazy-invalidation min-heap (the completion index) touched only for
  * flows whose rate changed, and per-resource totals are re-summed
- * from the crossing-flow lists of the region's resources alone.
+ * from the crossing-flow lists of those region resources whose
+ * crossers changed (rate or membership) alone. Resources that can
+ * never bind a fill (effective capacity above the summed caps of
+ * their crossers) join the region but not the fill's working set.
  * Fault-stalled zero-rate flows are parked on a stalled list that no
  * fill, scan, or index operation revisits until setCapacity()
  * restores their link. Independent components of one solve can be
@@ -41,7 +44,8 @@
  * The water-filling works on flat, reusable per-resource
  * scratch arrays indexed by ResourceId (no hashing, no per-recompute
  * allocation once warm); flows live in a dense slot map with an
- * intrusive active list in ascending-id order; and flow
+ * intrusive active list in ascending-id order, found by id through
+ * a hash table sized to the active flows; and flow
  * arrivals/departures that touch only unsaturated resources take an
  * O(route length) incremental path that skips any solve entirely.
  */
@@ -252,6 +256,54 @@ class FlowScheduler
     };
 
     /**
+     * FlowId -> slot of the *active* flows: open addressing with
+     * linear probing and backward-shift deletion, kept at most half
+     * full. Its size follows the peak number of concurrently active
+     * flows, not the number of flows ever started.
+     */
+    class IdSlotMap
+    {
+      public:
+        /** Slot of @p id, or -1 if it is not in the map. */
+        std::int32_t find(FlowId id) const;
+        /** Map @p id (not present, nonzero) to @p slot. */
+        void insert(FlowId id, std::uint32_t slot);
+        /** Remove @p id, which must be present. */
+        void erase(FlowId id);
+
+      private:
+        struct Entry {
+            FlowId id = 0;  ///< 0 = empty (ids start at 1)
+            std::uint32_t slot = 0;
+        };
+        std::size_t home(FlowId id) const;
+        /** Store @p e at the first free entry of its probe run. */
+        void place(Entry e);
+
+        std::vector<Entry> table_;  ///< power-of-two size (or empty)
+        std::size_t size_ = 0;
+        int shift_ = 64;  ///< 64 - log2(table size), for home()
+    };
+
+    /** Per-slot fields the partition BFS reads for every crosser of a
+     * discovered resource, packed so one load serves the edge. */
+    struct SlotHot {
+        double cap = 0.0;             ///< Flow::cap mirror (set once)
+        std::uint32_t comp_mark = 0;  ///< comp_epoch_ of last join
+        std::uint8_t stalled = 0;     ///< Flow::stalled mirror
+    };
+
+    /** Per-resource fields of the partition BFS (see SlotHot). */
+    struct ResHot {
+        std::uint32_t comp_mark = 0;  ///< comp_epoch_ of discovery
+        std::uint32_t local = 0;      ///< local fill id, or kNeverBinds
+    };
+
+    /** ResHot::local of a resource left out of the fill CSR because
+     * it can never bind (see partitionComponents()). */
+    static constexpr std::uint32_t kNeverBinds = 0xffffffffu;
+
+    /**
      * Per-worker water-filling scratch (one per pool worker).
      *
      * The fill rounds run on dense component-local arrays indexed by
@@ -366,12 +418,7 @@ class FlowScheduler
     // --- dense slot map ---------------------------------------------------
 
     /** Slot of an active flow id, or -1. */
-    std::int32_t slotOf(FlowId id) const
-    {
-        if (id == 0 || id >= next_id_)
-            return -1;
-        return slot_of_id_[static_cast<std::size_t>(id - 1)];
-    }
+    std::int32_t slotOf(FlowId id) const { return slot_of_id_.find(id); }
 
     /** Place @p f in a slot, link it into the active list and the
      * per-resource flow lists. @return the slot. */
@@ -411,8 +458,11 @@ class FlowScheduler
      * member slots grouped by component in BFS discovery order
      * (deterministic for a given event history; the fill is
      * order-insensitive, see fillComponent()); comp_ranges_ receives
-     * each group's start offset. Membership is marked in comp_mark_
-     * at comp_epoch_. Stalled flows never join.
+     * each group's start offset; region_resources_ receives every
+     * resource of every component. Membership is marked in
+     * SlotHot/ResHot::comp_mark at comp_epoch_. Stalled flows never
+     * join. Resources that can never bind get no local id in the
+     * fill CSR.
      */
     void partitionComponents();
 
@@ -421,8 +471,8 @@ class FlowScheduler
      * the pool when the solve is large enough — then commit the
      * results in canonical component order: settle each flow whose
      * rate changed at its old rate, refresh its finish time and index
-     * entry, and park flows filled at rate zero. Appends the solved
-     * resources to active_resources_ in component order.
+     * entry, mark its resources' totals dirty, and park flows filled
+     * at rate zero.
      */
     void solveComponents();
 
@@ -432,25 +482,30 @@ class FlowScheduler
     /**
      * Progressive filling over component @p c (its flow span of
      * components_ and its resource span of the partition CSR).
-     * Assigns flow rates; appends the component's resources to
-     * @p out (in discovery order). Increment rounds are
-     * component-local: this is the solver's bit-exact definition of
-     * fair share (see DESIGN.md), identical whether a component is
-     * re-solved alone or as part of a full pass, serially or on a
-     * pool worker. Reads only the shared partition CSR (built before
-     * any fill starts) and writes only its own scratch and its own
-     * component's flow slots, so concurrent calls on disjoint
-     * components are race-free.
+     * Assigns flow rates. Increment rounds are component-local: this
+     * is the solver's bit-exact definition of fair share (see
+     * DESIGN.md), identical whether a component is re-solved alone or
+     * as part of a full pass, serially or on a pool worker. Reads
+     * only the shared partition CSR (built before any fill starts)
+     * and writes only its own scratch and its own component's flow
+     * slots, so concurrent calls on disjoint components are
+     * race-free.
      */
-    void fillComponent(std::size_t c, FillScratch &ws,
-                       std::vector<ResourceId> &out);
+    void fillComponent(std::size_t c, FillScratch &ws);
 
     /** fillComponent() into oracle_rate_, leaving flows untouched. */
     void oracleFillComponent(std::size_t begin, std::size_t end);
 
-    /** Re-sum per-resource totals of active_resources_ from their
+    /** Re-sum the dirty totals among region_resources_ from their
      * crossing-flow lists and write the rate logs. */
     void writeRegionTotals();
+
+    /** Mark @p rid's total for re-summing at the next solve that
+     * covers it. */
+    void markTotalDirty(ResourceId rid) { total_dirty_[rid] = 1; }
+
+    /** Advance comp_epoch_, clearing every mark when it wraps. */
+    void nextCompEpoch();
 
     /**
      * Zero the telemetry log and total of @p rid if no flow crosses
@@ -478,7 +533,7 @@ class FlowScheduler
     // --- dense flow storage ----------------------------------------------
     std::vector<Flow> slots_;               ///< flow storage (slot-indexed)
     std::vector<std::uint32_t> free_slots_; ///< reusable slots (LIFO)
-    std::vector<std::int32_t> slot_of_id_;  ///< id-1 -> slot, -1 inactive
+    IdSlotMap slot_of_id_;                  ///< active id -> slot
     /** Intrusive doubly-linked active list. Ids are issued
      * monotonically and always appended at the tail, so iteration
      * from head_slot_ is in ascending-id order — the canonical,
@@ -501,17 +556,17 @@ class FlowScheduler
     std::vector<std::uint32_t> stalled_;      ///< parked slots
     std::vector<std::uint32_t> stalled_pos_;  ///< slot -> index in stalled_
 
-    /** Dense per-slot mirrors of Flow::rate and Flow::stalled. The
-     * per-edge loops (BFS closure, totals summation) read these 8- /
-     * 1-byte arrays instead of pulling a whole Flow struct into
-     * cache per edge; every writer of the mirrored fields updates
-     * them in the same statement. */
+    /** Dense per-slot mirrors of Flow::rate and of the partition's
+     * fields (SlotHot). The per-edge loops (BFS closure, totals
+     * summation) read these instead of pulling a whole Flow struct
+     * into cache per edge; every writer of the mirrored fields
+     * updates them in the same statement. */
     std::vector<double> rate_slot_;
-    std::vector<std::uint8_t> stalled_slot_;
+    std::vector<SlotHot> slot_hot_;
 
-    /** Flat mirror of every active flow's resource list (and rate
-     * cap), appended at registration and compacted when the arena
-     * doubles its live footprint — same lazy-reclamation idea as the
+    /** Flat mirror of every active flow's resource list, appended
+     * at registration and compacted when the arena doubles its live
+     * footprint — same lazy-reclamation idea as the
      * completion index. The partition BFS walks these contiguous
      * spans instead of dereferencing each Flow's own vector, which
      * kept one cache-missing struct hop per member flow in the
@@ -520,7 +575,6 @@ class FlowScheduler
     std::vector<std::uint32_t> route_begin_;  ///< per-slot arena offset
     std::vector<std::uint32_t> route_len_;    ///< per-slot span length
     std::size_t arena_live_ = 0;  ///< summed span length of active slots
-    std::vector<double> cap_slot_;  ///< Flow::cap mirror (set once)
 
     // --- event-storm batching ---------------------------------------------
     int batch_depth_ = 0;
@@ -531,6 +585,10 @@ class FlowScheduler
     // --- flat per-resource state (indexed by ResourceId) -----------------
     std::vector<double> eff_cap_;     ///< capacity * class efficiency
     std::vector<double> total_rate_;  ///< current aggregate rate
+    /** 1 when total_rate_ may differ from a re-sum of the crossing
+     * list: set on membership changes and on crossers' rate changes,
+     * cleared by the re-sum in writeRegionTotals(). */
+    std::vector<std::uint8_t> total_dirty_;
     std::vector<int> nflows_;         ///< active flows crossing
     std::vector<double> residual_;    ///< oracle-fill scratch
     std::vector<int> crossing_;       ///< oracle-fill scratch
@@ -544,19 +602,22 @@ class FlowScheduler
     std::vector<std::uint32_t> region_flows_;  ///< current seed list
 
     // --- component partition (see partitionComponents()) ------------------
-    std::vector<std::uint64_t> comp_mark_;      ///< per slot
-    std::vector<std::uint64_t> res_comp_mark_;  ///< per resource
-    std::uint64_t comp_epoch_ = 0;
+    std::vector<ResHot> res_hot_;  ///< per resource
+    std::uint32_t comp_epoch_ = 0;
     std::vector<std::uint32_t> components_;  ///< slots grouped by component
     std::vector<std::size_t> comp_ranges_;   ///< start offset per group
+    /** Every resource of the partitioned components, in discovery
+     * order (including those pruned from the fill CSR). */
+    std::vector<ResourceId> region_resources_;
     std::vector<double> prev_rate_;  ///< pre-fill rates, parallel to components_
     std::vector<ResourceId> comp_resources_; ///< oracle-fill working set
     /** The partition CSR: everything a fill needs, gathered by the
      * BFS (which touches each flow and each crossing list anyway) so
      * the fills themselves never stride over global state. Resource
      * ids inside a component are component-local (0..n-1 in discovery
-     * order). comp_flow_begin_ is aligned with components_ (one tail
-     * entry); comp_rid_ranges_ with comp_ranges_. */
+     * order), given only to resources that can bind.
+     * comp_flow_begin_ is aligned with components_ (one tail entry);
+     * comp_rid_ranges_ with comp_ranges_. */
     std::vector<std::uint32_t> comp_flow_res_;   ///< local rid per route edge
     std::vector<std::uint32_t> comp_flow_begin_; ///< CSR offsets per flow
     std::vector<double> comp_fcap_;          ///< flow caps, per components_
@@ -564,12 +625,9 @@ class FlowScheduler
     std::vector<std::size_t> comp_rid_ranges_;  ///< rid span per component
     std::vector<int> comp_crossing_;   ///< initial crossing counts, flat
     std::vector<double> comp_rcap_;    ///< effective caps, flat
-    std::vector<std::uint32_t> res_local_;  ///< rid -> local id (comp-epoch)
 
     // --- reusable scratch buffers ----------------------------------------
     std::vector<FillScratch> fill_scratch_;  ///< one per pool worker
-    std::vector<std::vector<ResourceId>> comp_out_;  ///< per-component rids
-    std::vector<ResourceId> active_resources_;  ///< crossed by any flow
     std::vector<ResourceId> cap_dirty_;  ///< batch-update seeds
     std::vector<std::function<void()>> callbacks_;
     std::vector<Flow> finished_;

@@ -242,6 +242,100 @@ TEST(EcmpTest, DisabledEcmpFallsBackToPlainRoutes)
     }
 }
 
+/** Field-by-field bitwise equality of two routes. */
+void
+expectSameRoute(const Route &a, const Route &b)
+{
+    EXPECT_EQ(a.hops, b.hops);
+    EXPECT_EQ(a.latency, b.latency);
+    ASSERT_EQ(a.crossings.size(), b.crossings.size());
+    for (std::size_t i = 0; i < a.crossings.size(); ++i) {
+        EXPECT_EQ(a.crossings[i].ingress, b.crossings[i].ingress);
+        EXPECT_EQ(a.crossings[i].egress, b.crossings[i].egress);
+    }
+    EXPECT_EQ(a.serdes_factor, b.serdes_factor);
+    EXPECT_EQ(a.rate_cap, b.rate_cap);
+}
+
+TEST(RouteMemoTest, HitEqualsFreshMiss)
+{
+    // routeThrough() memoizes composites per (src, waypoints, dst,
+    // flow key). A hit must reproduce a miss exactly, field by field:
+    // compare a warm router's second answer against the first answer
+    // of an identical cold cluster, over ECMP keys and 0-2 waypoints.
+    ClusterSpec spec;
+    spec.nodes = 4;
+    spec.fabric.kind = FabricKind::SpineLeaf;
+    spec.fabric.leaves = 2;
+    spec.fabric.spines = 4;
+    Cluster warm(spec);
+    const NodeHandles &n0 = warm.node(0);
+    const NodeHandles &n3 = warm.node(3);
+    const std::vector<std::vector<ComponentId>> waypoint_sets = {
+        {}, {n0.nics[1]}, {n0.nics[0], n3.nics[1]}};
+    for (const auto &wps : waypoint_sets) {
+        for (std::uint64_t key = 0; key < 6; ++key) {
+            Cluster cold(spec);
+            const Route miss = warm.router().routeThrough(
+                n0.gpus[0], wps, n3.gpus[2], key);
+            const Route hit = warm.router().routeThrough(
+                n0.gpus[0], wps, n3.gpus[2], key);
+            const Route fresh = cold.router().routeThrough(
+                n0.gpus[0], wps, n3.gpus[2], key);
+            ASSERT_TRUE(hit.valid());
+            expectSameRoute(hit, miss);
+            expectSameRoute(hit, fresh);
+        }
+    }
+    // Waypoint-free composites equal the per-pair selection.
+    const Route plain = warm.router().routeThrough(n0.gpus[0], {},
+                                                   n3.gpus[2], 3);
+    expectSameRoute(plain, warm.router().routeForFlow(n0.gpus[0],
+                                                      n3.gpus[2], 3));
+}
+
+TEST(RouteMemoTest, ServedUntilInvalidatedThenDetours)
+{
+    // The memo is flushed with the per-pair caches and only then: a
+    // link that dies under a memoized route keeps being served (the
+    // stale FIB a reconvergence window models) until
+    // invalidateRouteCaches(), after which the route detours.
+    ClusterSpec spec;
+    spec.nodes = 2;
+    Cluster cluster(spec);
+    Router &router = cluster.router();
+    router.setAvoidDeadLinks(true);
+    const ComponentId src = cluster.gpuByRank(0);
+    const ComponentId dst = cluster.gpuByRank(4);
+    const std::vector<ComponentId> via = {cluster.node(1).cpus[0]};
+
+    const Route before = router.routeThrough(src, via, dst, 0);
+    ResourceId dead = -1;
+    for (HalfLinkId hid : before.hops) {
+        const ResourceId rid = cluster.topology().halfLink(hid).resource;
+        if (cluster.topology().resource(rid).cls == LinkClass::Roce) {
+            dead = rid;
+            break;
+        }
+    }
+    ASSERT_GE(dead, 0);
+    cluster.topology().resource(dead).capacity = 0.0;
+
+    expectSameRoute(router.routeThrough(src, via, dst, 0), before);
+    EXPECT_EQ(router.cacheInvalidations(), 0u);
+
+    router.invalidateRouteCaches();
+    EXPECT_EQ(router.cacheInvalidations(), 1u);
+    const Route after = router.routeThrough(src, via, dst, 0);
+    ASSERT_TRUE(after.valid());
+    EXPECT_NE(after.hops, before.hops);
+    for (HalfLinkId hid : after.hops)
+        EXPECT_NE(cluster.topology().halfLink(hid).resource, dead);
+    // Memo hits after the flush count no further invalidations.
+    expectSameRoute(router.routeThrough(src, via, dst, 0), after);
+    EXPECT_EQ(router.cacheInvalidations(), 1u);
+}
+
 TEST(RoutingDeathTest, SelfRouteRejected)
 {
     Cluster cluster(ClusterSpec{});

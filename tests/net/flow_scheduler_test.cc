@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "hw/cluster.hh"
@@ -618,6 +621,176 @@ TEST_F(FlowSchedulerTest, CancelReturnsRemainingBytes)
     sim_.run();
     EXPECT_FALSE(completed);
     EXPECT_EQ(flows_.stats().cancels, 1u);
+}
+
+TEST_F(FlowSchedulerTest, RetiredAndUnissuedIdsAreInactive)
+{
+    // The id map holds active flows only: a finished id, a zero-byte
+    // id and an id never issued all read as inactive, rate 0, and
+    // cannot be cancelled.
+    FlowSpec done_spec;
+    done_spec.route = gpuRoute(0, 1);
+    done_spec.bytes = 8e9;
+    const FlowId finished = flows_.start(std::move(done_spec));
+    FlowSpec zero_spec;
+    zero_spec.route = gpuRoute(2, 3);
+    zero_spec.bytes = 0.0;
+    const FlowId zero = flows_.start(std::move(zero_spec));
+    sim_.run();
+    for (const FlowId id : {FlowId{0}, finished, zero, zero + 1,
+                            std::numeric_limits<FlowId>::max()}) {
+        EXPECT_FALSE(flows_.isActive(id)) << id;
+        EXPECT_EQ(flows_.currentRate(id), 0.0) << id;
+        EXPECT_FALSE(flows_.cancel(id)) << id;
+    }
+    EXPECT_EQ(flows_.stats().cancels, 0u);
+}
+
+TEST_F(FlowSchedulerTest, IdMapSurvivesGrowthAndChurn)
+{
+    // One long-lived flow among ~100k short ones started in waves of
+    // varying size: the id map grows to the largest wave and every
+    // wave's ids are erased again, so lookups must keep finding the
+    // long-lived flow across rehashes and backward-shift deletions.
+    // Tiny rate caps keep every start and finish on the fast paths.
+    constexpr Bps kCap = 1e3;
+    FlowSpec long_spec;
+    long_spec.route = gpuRoute(0, 1);
+    long_spec.bytes = 1e15;
+    long_spec.rate_cap = kCap;
+    const FlowId long_id = flows_.start(std::move(long_spec));
+
+    Rng rng(7);
+    std::size_t started = 0;
+    std::vector<FlowId> wave;
+    FlowId last = long_id;
+    while (started < 100000) {
+        const std::size_t n = 1 + rng.below(3000);
+        wave.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            FlowSpec spec;
+            spec.route = (i % 2 == 0) ? gpuRoute(2, 3) : gpuRoute(3, 2);
+            spec.bytes = kCap * (1.0 + static_cast<double>(rng.below(3)));
+            spec.rate_cap = kCap;
+            wave.push_back(flows_.start(std::move(spec)));
+        }
+        started += n;
+        last = wave.back();
+        for (const FlowId id : wave) {
+            ASSERT_TRUE(flows_.isActive(id));
+            ASSERT_EQ(flows_.currentRate(id), kCap);
+        }
+        EXPECT_FALSE(flows_.isActive(last + 1));
+        // Drain the wave (every short flow ends within 3 s).
+        sim_.runUntil(sim_.now() + 4.0);
+        for (const FlowId id : wave) {
+            ASSERT_FALSE(flows_.isActive(id));
+            ASSERT_EQ(flows_.currentRate(id), 0.0);
+        }
+        ASSERT_FALSE(flows_.cancel(wave[n / 2]));
+        ASSERT_TRUE(flows_.isActive(long_id));
+        ASSERT_EQ(flows_.currentRate(long_id), kCap);
+        ASSERT_EQ(flows_.activeCount(), 1u);
+    }
+    EXPECT_EQ(last, long_id + started);
+    EXPECT_TRUE(flows_.cancel(long_id));
+    EXPECT_FALSE(flows_.isActive(long_id));
+}
+
+/**
+ * A hand-built topology for the never-binding pruning threshold: all
+ * links are IodXbar (efficiency 1.0, so the effective capacity is the
+ * given capacity bit for bit). Flows 1 and 2 share link S (the link
+ * under test) and link T (never near binding); flow 1 also crosses a
+ * private link P1 whose capacity equals its cap, flow 2 a roomy
+ * private link P2; flow 3 crosses S and a zero-capacity link Z, so it
+ * parks until Z is restored.
+ */
+struct PruneRig {
+    static constexpr Bps kCap1 = 3e9;
+    static constexpr Bps kCap2 = 5e9;
+    static constexpr Bps kCap3 = 2e9;
+
+    explicit PruneRig(Bps s_capacity)
+    {
+        const ComponentId a =
+            topo.addComponent(ComponentKind::Switch, "a", 0, 0, 0);
+        const ComponentId b =
+            topo.addComponent(ComponentKind::Switch, "b", 0, 0, 1);
+        auto link = [&](Bps cap, const char *name) {
+            const ResourceId rid =
+                topo.addResource(LinkClass::IodXbar, cap, name, 0, 0);
+            return topo.addHalfLink(rid, a, b, PortKind::Device,
+                                    PortKind::Device, LinkClass::IodXbar,
+                                    0.0);
+        };
+        s = link(s_capacity, "S");
+        t = link(1e12, "T");
+        p1 = link(kCap1, "P1");
+        p2 = link(2 * kCap2, "P2");
+        z = link(1e12, "Z");
+        FlowSchedulerOptions opts;
+        opts.verify_fair_share = true;
+        flows = std::make_unique<FlowScheduler>(sim, topo, opts);
+        // Links are built with positive capacity; fault Z to zero.
+        flows->setCapacity(topo.halfLink(z).resource, 0.0);
+    }
+
+    FlowId
+    start(std::vector<HalfLinkId> hops, Bps cap, Bytes bytes)
+    {
+        FlowSpec spec;
+        spec.route.hops = std::move(hops);
+        spec.route.rate_cap = cap;
+        spec.bytes = bytes;
+        spec.on_complete = [this] { ++done; };
+        return flows->start(std::move(spec));
+    }
+
+    Simulation sim;
+    Topology topo;
+    HalfLinkId s = -1, t = -1, p1 = -1, p2 = -1, z = -1;
+    std::unique_ptr<FlowScheduler> flows;
+    int done = 0;
+};
+
+TEST(FlowSchedulerPruneTest, ThresholdCapacitiesMatchTheOracle)
+{
+    // Link S sits at, or one ulp either side of, the summed caps of
+    // its non-stalled crossers and that sum times (1 + 1e-6) — the
+    // pruning threshold. verify_fair_share re-fills every component
+    // with the unpruned oracle after every event and fatal()s on any
+    // bitwise difference, so each run checks the pruned fill exactly.
+    const Bps sum = PruneRig::kCap1 + PruneRig::kCap2;
+    const Bps margin = sum * (1.0 + 1e-6);
+    const Bps inf = std::numeric_limits<Bps>::infinity();
+    for (const Bps cap :
+         {sum, std::nextafter(sum, 0.0), std::nextafter(sum, inf), margin,
+          std::nextafter(margin, 0.0), std::nextafter(margin, inf)}) {
+        SCOPED_TRACE(cap);
+        PruneRig rig(cap);
+        // Flow 3 parks on Z first, so S's crossers' cap sum is exactly
+        // kCap1 + kCap2 for the solves that admit flows 1 and 2.
+        const FlowId f3 = rig.start({rig.s, rig.z}, PruneRig::kCap3, 1e9);
+        const FlowId f1 =
+            rig.start({rig.s, rig.t, rig.p1}, PruneRig::kCap1, 3e9);
+        const FlowId f2 =
+            rig.start({rig.s, rig.t, rig.p2}, PruneRig::kCap2, 10e9);
+        EXPECT_EQ(rig.flows->stalledCount(), 1u);
+        EXPECT_EQ(rig.flows->currentRate(f3), 0.0);
+        EXPECT_EQ(rig.flows->currentRate(f1), PruneRig::kCap1);
+        EXPECT_DOUBLE_EQ(rig.flows->currentRate(f2),
+                         std::min(PruneRig::kCap2, cap - PruneRig::kCap1));
+        // Restore Z: flow 3 unparks and rejoins S.
+        rig.sim.events().schedule(0.5, [&] {
+            rig.flows->setCapacity(rig.topo.halfLink(rig.z).resource,
+                                   1e12);
+        });
+        rig.sim.run();
+        EXPECT_EQ(rig.done, 3);
+        EXPECT_EQ(rig.flows->activeCount(), 0u);
+        EXPECT_GT(rig.flows->stats().verified_solves, 5u);
+    }
 }
 
 } // namespace
